@@ -28,7 +28,7 @@ fn event_queue_throughput(c: &mut Criterion) {
 
 fn l1_hit_path(c: &mut Criterion) {
     // Single core hammering one block: pure L1-hit round trips through
-    // the rendezvous machinery.
+    // the resumable-core engine.
     let mut g = c.benchmark_group("machine");
     g.sample_size(10);
     g.throughput(Throughput::Elements(10_000));

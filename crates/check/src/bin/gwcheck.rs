@@ -22,7 +22,7 @@
 //! gwcheck --protocol mesi --replay i0:0s,d0>2,...  # replay a printed trace
 //! ```
 
-use std::io::Write;
+use std::io::{IsTerminal, Write};
 
 use ghostwriter_check::{
     decode_trace, run_sweep, shard::Space, Mutation, ProtocolKind, ShardOptions, SweepSpec,
@@ -255,7 +255,9 @@ fn main() {
         jobs: args.jobs,
         shard_depth: args.shard_depth,
         use_cache: args.use_cache,
-        progress: true,
+        // The progress line rewrites itself with `\r`: only a terminal
+        // renders that, so captured stderr (CI logs, pipes) gets none.
+        progress: std::io::stderr().is_terminal(),
         ..Default::default()
     };
 

@@ -787,7 +787,8 @@ pub struct ShardOptions {
     pub use_cache: bool,
     /// Where cached shard records live.
     pub cache_dir: PathBuf,
-    /// Stream per-shard progress to stderr.
+    /// Stream per-shard progress to stderr as one `\r`-rewritten line
+    /// (meant for a terminal).
     pub progress: bool,
 }
 

@@ -1,7 +1,7 @@
 //! `gwbench perf` — the simulator's perf-regression harness.
 //!
-//! Times a small set of kernels chosen to cover the three hot paths the
-//! resumable-core engine rewrite (PR 4) touched:
+//! Times a small set of kernels chosen to cover the simulator's hot
+//! paths:
 //!
 //! * `event_queue_churn` — raw [`EventQueue`] push/pop traffic, no
 //!   machine: measures the scheduler data structure alone.
@@ -16,13 +16,10 @@
 //! * one registry workload per class (`histogram`, `kmeans`,
 //!   `blackscholes`) — end-to-end simulation throughput.
 //!
-//! Every entry is keyed `(name, engine, profile)` and reports simulated
-//! ops, wall-clock and ops/sec. A full run (`gwbench perf`) writes BOTH
-//! the `full` and `smoke` profiles so a CI smoke run can gate against the
-//! committed file; `--smoke` runs only the fast profile. When the crate
-//! is built with `--features legacy-threads`, machine kernels are timed
-//! under the legacy OS-thread engine too, giving before/after numbers for
-//! the engine rewrite in one artifact.
+//! Every entry is keyed `(name, profile)` and reports simulated ops,
+//! wall-clock and ops/sec. A full run (`gwbench perf`) writes BOTH the
+//! `full` and `smoke` profiles so a CI smoke run can gate against the
+//! committed file; `--smoke` runs only the fast profile.
 //!
 //! `--baseline <file>` compares against a previous `BENCH_kernel.json`
 //! and exits 4 if any matching kernel regressed by more than 2x —
@@ -48,9 +45,6 @@ pub const HISTORY_PATH: &str = "results/bench_history.jsonl";
 pub struct PerfEntry {
     /// Kernel name.
     pub name: String,
-    /// Execution engine: `resumable`, `legacy`, or `none` for kernels
-    /// that bypass the machine.
-    pub engine: String,
     /// `smoke` or `full`.
     pub profile: String,
     /// Simulated operations performed (queue ops, or loads+stores+
@@ -63,10 +57,9 @@ pub struct PerfEntry {
 }
 
 impl PerfEntry {
-    fn from_run(name: &str, engine: &str, profile: &str, ops: u64, secs: f64) -> Self {
+    fn from_run(name: &str, profile: &str, ops: u64, secs: f64) -> Self {
         Self {
             name: name.into(),
-            engine: engine.into(),
             profile: profile.into(),
             ops,
             wall_ms: secs * 1e3,
@@ -77,7 +70,6 @@ impl PerfEntry {
     fn to_json(&self) -> Json {
         let mut j = Json::obj();
         j.push("name", Json::Str(self.name.clone()));
-        j.push("engine", Json::Str(self.engine.clone()));
         j.push("profile", Json::Str(self.profile.clone()));
         j.push("ops", Json::U64(self.ops));
         j.push("wall_ms", Json::F64(self.wall_ms));
@@ -88,7 +80,6 @@ impl PerfEntry {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
         Ok(Self {
             name: j.field("name")?.as_str()?.to_string(),
-            engine: j.field("engine")?.as_str()?.to_string(),
             profile: j.field("profile")?.as_str()?.to_string(),
             ops: j.field("ops")?.as_u64()?,
             wall_ms: j.field("wall_ms")?.as_f64()?,
@@ -145,7 +136,6 @@ fn event_queue_churn(profile: &str) -> PerfEntry {
     let ops = 2 * total + 2 * window as u64;
     PerfEntry::from_run(
         "event_queue_churn",
-        "none",
         profile,
         ops,
         started.elapsed().as_secs_f64(),
@@ -160,17 +150,10 @@ pub(crate) fn storm_machine(
     cores: usize,
     base: BaseProtocol,
     iters_per_core: u64,
-    legacy: bool,
 ) -> ghostwriter_core::Machine {
     let mut cfg = MachineConfig::small_base(cores, Protocol::Mesi, base);
     cfg.model_contention = true;
     let mut m = ghostwriter_core::Machine::new(cfg);
-    #[cfg(feature = "legacy-threads")]
-    if legacy {
-        m.use_legacy_engine();
-    }
-    #[cfg(not(feature = "legacy-threads"))]
-    let _ = legacy;
     let block = m.alloc_padded(4 * cores as u64);
     for t in 0..cores {
         let slot = block.add(4 * t as u64);
@@ -192,17 +175,16 @@ fn storm_kernel(
     base: BaseProtocol,
     iters: u64,
     profile: &str,
-    engine: &str,
 ) -> PerfEntry {
     let started = Instant::now();
-    let run = storm_machine(cores, base, iters, engine == "legacy").run();
+    let run = storm_machine(cores, base, iters).run();
     let secs = started.elapsed().as_secs_f64();
     let s = &run.report.stats;
     let ops = s.loads + s.stores + s.scribbles + s.barriers;
-    PerfEntry::from_run(name, engine, profile, ops, secs)
+    PerfEntry::from_run(name, profile, ops, secs)
 }
 
-fn noc_contention_storm(profile: &str, engine: &str) -> PerfEntry {
+fn noc_contention_storm(profile: &str) -> PerfEntry {
     let iters = match profile {
         "smoke" => 3_000u64,
         _ => 30_000u64,
@@ -213,14 +195,13 @@ fn noc_contention_storm(profile: &str, engine: &str) -> PerfEntry {
         BaseProtocol::Mesi,
         iters,
         profile,
-        engine,
     )
 }
 
 /// Protocol-ladder storm: the false-sharing ping-pong on a family whose
 /// forwarding path (MOESI's Owned supplier / MESIF's Forward supplier)
 /// the MESI kernel never takes.
-fn ladder_storm(base: BaseProtocol, profile: &str, engine: &str) -> PerfEntry {
+fn ladder_storm(base: BaseProtocol, profile: &str) -> PerfEntry {
     let iters = match profile {
         "smoke" => 2_000u64,
         _ => 20_000u64,
@@ -230,28 +211,21 @@ fn ladder_storm(base: BaseProtocol, profile: &str, engine: &str) -> PerfEntry {
         BaseProtocol::Mesif => "ladder_mesif",
         _ => unreachable!("only the MOESI/MESIF rungs are benchmarked"),
     };
-    storm_kernel(name, 8, base, iters, profile, engine)
+    storm_kernel(name, 8, base, iters, profile)
 }
 
 /// Larger-mesh storm: 16 cores, so routes are longer and twice as many
 /// directory banks and channels are live.
-fn mesh_storm_16c(profile: &str, engine: &str) -> PerfEntry {
+fn mesh_storm_16c(profile: &str) -> PerfEntry {
     let iters = match profile {
         "smoke" => 1_000u64,
         _ => 10_000u64,
     };
-    storm_kernel(
-        "mesh_storm_16c",
-        16,
-        BaseProtocol::Mesi,
-        iters,
-        profile,
-        engine,
-    )
+    storm_kernel("mesh_storm_16c", 16, BaseProtocol::Mesi, iters, profile)
 }
 
 /// End-to-end workload throughput under the Ghostwriter protocol.
-fn workload_kernel(name: &str, profile: &str, engine: &str) -> PerfEntry {
+fn workload_kernel(name: &str, profile: &str) -> PerfEntry {
     let entry = find_benchmark(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let scale = match profile {
         "smoke" => ScaleClass::Test,
@@ -264,31 +238,11 @@ fn workload_kernel(name: &str, profile: &str, engine: &str) -> PerfEntry {
         ..MachineConfig::default()
     };
     let started = Instant::now();
-    let out = if engine == "legacy" {
-        #[cfg(feature = "legacy-threads")]
-        {
-            ghostwriter_workloads::execute_legacy(w.as_mut(), cfg, 8, 8)
-        }
-        #[cfg(not(feature = "legacy-threads"))]
-        unreachable!("legacy kernels require the `legacy-threads` feature")
-    } else {
-        execute(w.as_mut(), cfg, 8, 8)
-    };
+    let out = execute(w.as_mut(), cfg, 8, 8);
     let secs = started.elapsed().as_secs_f64();
     let s = &out.report.stats;
     let ops = s.loads + s.stores + s.scribbles + s.barriers;
-    PerfEntry::from_run(name, engine, profile, ops, secs)
-}
-
-fn engines() -> Vec<&'static str> {
-    #[cfg(feature = "legacy-threads")]
-    {
-        vec!["resumable", "legacy"]
-    }
-    #[cfg(not(feature = "legacy-threads"))]
-    {
-        vec!["resumable"]
-    }
+    PerfEntry::from_run(name, profile, ops, secs)
 }
 
 /// Runs `kernel` `reps` times and keeps the fastest repetition. Wall-clock
@@ -310,19 +264,15 @@ fn best_of(reps: u32, kernel: impl Fn() -> PerfEntry) -> PerfEntry {
 /// of `reps` repetitions per kernel.
 pub fn run_profile_reps(profile: &str, reps: u32) -> Vec<PerfEntry> {
     let reps = reps.max(1);
-    let mut entries = vec![best_of(reps, || event_queue_churn(profile))];
-    for engine in engines() {
-        entries.push(best_of(reps, || noc_contention_storm(profile, engine)));
-        entries.push(best_of(reps, || {
-            ladder_storm(BaseProtocol::Moesi, profile, engine)
-        }));
-        entries.push(best_of(reps, || {
-            ladder_storm(BaseProtocol::Mesif, profile, engine)
-        }));
-        entries.push(best_of(reps, || mesh_storm_16c(profile, engine)));
-        for w in ["histogram", "kmeans", "blackscholes"] {
-            entries.push(best_of(reps, || workload_kernel(w, profile, engine)));
-        }
+    let mut entries = vec![
+        best_of(reps, || event_queue_churn(profile)),
+        best_of(reps, || noc_contention_storm(profile)),
+        best_of(reps, || ladder_storm(BaseProtocol::Moesi, profile)),
+        best_of(reps, || ladder_storm(BaseProtocol::Mesif, profile)),
+        best_of(reps, || mesh_storm_16c(profile)),
+    ];
+    for w in ["histogram", "kmeans", "blackscholes"] {
+        entries.push(best_of(reps, || workload_kernel(w, profile)));
     }
     entries
 }
@@ -332,22 +282,21 @@ pub fn run_profile(profile: &str) -> Vec<PerfEntry> {
     run_profile_reps(profile, 1)
 }
 
-/// Compares `current` against `baseline` on matching `(name, engine,
-/// profile)` keys. Returns the list of regressions worse than 2x.
+/// Compares `current` against `baseline` on matching `(name, profile)`
+/// keys. Returns the list of regressions worse than 2x.
 pub fn regressions(current: &[PerfEntry], baseline: &[PerfEntry]) -> Vec<String> {
     let mut out = Vec::new();
     for c in current {
         let Some(b) = baseline
             .iter()
-            .find(|b| b.name == c.name && b.engine == c.engine && b.profile == c.profile)
+            .find(|b| b.name == c.name && b.profile == c.profile)
         else {
             continue;
         };
         if c.ops_per_sec * 2.0 < b.ops_per_sec {
             out.push(format!(
-                "{}/{}/{}: {:.0} ops/s vs baseline {:.0} ops/s ({:.1}x slower)",
+                "{}/{}: {:.0} ops/s vs baseline {:.0} ops/s ({:.1}x slower)",
                 c.name,
-                c.engine,
                 c.profile,
                 c.ops_per_sec,
                 b.ops_per_sec,
@@ -410,13 +359,12 @@ fn append_history(path: &str, line: &str) -> std::io::Result<()> {
 
 /// Renders the human-readable table.
 pub fn render(entries: &[PerfEntry]) -> String {
-    let mut s = String::from(
-        "kernel                 engine     profile       ops      wall_ms      ops/sec\n",
-    );
+    let mut s =
+        String::from("kernel                 profile       ops      wall_ms      ops/sec\n");
     for e in entries {
         s.push_str(&format!(
-            "{:<22} {:<10} {:<8} {:>9} {:>12.2} {:>12.0}\n",
-            e.name, e.engine, e.profile, e.ops, e.wall_ms, e.ops_per_sec
+            "{:<22} {:<8} {:>9} {:>12.2} {:>12.0}\n",
+            e.name, e.profile, e.ops, e.wall_ms, e.ops_per_sec
         ));
     }
     s
@@ -491,7 +439,6 @@ mod tests {
     fn entry(name: &str, ops_per_sec: f64) -> PerfEntry {
         PerfEntry {
             name: name.into(),
-            engine: "resumable".into(),
             profile: "smoke".into(),
             ops: 100,
             wall_ms: 1.0,
@@ -562,8 +509,8 @@ mod tests {
     #[test]
     fn smoke_kernels_produce_positive_throughput() {
         let entries = run_profile("smoke");
-        // queue kernel + (3 storms + ladder pair + 3 workloads) per engine.
-        assert_eq!(entries.len(), 1 + 7 * engines().len());
+        // queue kernel + 2 storms + ladder pair + 3 workloads.
+        assert_eq!(entries.len(), 8);
         for e in &entries {
             assert!(e.ops > 0, "{}: no ops", e.name);
             assert!(e.ops_per_sec > 0.0, "{}: no throughput", e.name);

@@ -180,7 +180,7 @@ fn profiled_run(name: &str, scale: &str, mut m: ghostwriter_core::Machine) -> Pr
 /// The storm machine at profile scale (shared with `gwbench perf`).
 fn storm(scale: &str) -> ghostwriter_core::Machine {
     let iters = if scale == "smoke" { 3_000 } else { 30_000 };
-    crate::perf::storm_machine(8, BaseProtocol::Mesi, iters, false)
+    crate::perf::storm_machine(8, BaseProtocol::Mesi, iters)
 }
 
 /// A registry workload built onto a machine we keep control of, so

@@ -8,29 +8,20 @@
 //!   ordering for events scheduled at the same cycle, so a simulation run is
 //!   a pure function of its inputs.
 //! * [`resume`] — the execution-driven workload engine. Simulated threads
-//!   are resumable state machines ([`Resumable`]) stepped by the engine on
-//!   its own thread: each simulated operation is one plain function call,
-//!   with no OS threads, channels or context switches on the hot path.
-//!   Workloads are written as ordinary `async` bodies and adapted by
-//!   [`FutureThread`]; workload computation costs wall-clock time but zero
-//!   simulated time, exactly as before.
-//!
-//! The retired OS-thread rendezvous harness ([`harness`]) survives behind
-//! the `legacy-threads` feature as a differential-testing oracle for the
-//! resumable engine.
+//!   are written as ordinary `async` bodies; [`FutureThread`] turns each
+//!   into a state machine the engine steps on its own thread, so each
+//!   simulated operation is one plain function call, with no OS threads,
+//!   channels or context switches on the hot path. Workload computation
+//!   costs wall-clock time but zero simulated time.
 //!
 //! The kernel knows nothing about caches or coherence; those live in
 //! `ghostwriter-core`.
 
-#[cfg(feature = "legacy-threads")]
-pub mod harness;
 pub mod queue;
 pub mod resume;
 
-#[cfg(feature = "legacy-threads")]
-pub use harness::{ThreadHarness, ThreadPort};
 pub use queue::EventQueue;
-pub use resume::{panic_message, FutureThread, OpCell, Resumable, Step};
+pub use resume::{panic_message, FutureThread, OpCell, Step};
 
 /// Simulated time, measured in core clock cycles (1 GHz in the paper's
 /// configuration, so one cycle is one nanosecond).

@@ -1,26 +1,21 @@
 //! Resumable workload state machines — the zero-context-switch engine.
 //!
-//! A simulated thread used to be a real OS thread rendezvousing with the
-//! engine over zero-capacity channels (see [`crate::harness`], now behind
-//! the `legacy-threads` feature). That costs two scheduler round-trips
-//! per simulated operation. This module replaces the OS thread with an
-//! explicit state machine the engine steps *on its own thread*:
+//! Each simulated thread is an explicit state machine the engine steps
+//! *on its own thread*:
 //!
-//! * [`Resumable`] — the engine-facing contract. `resume(reply)` feeds
-//!   the previous operation's reply in and returns the next [`Step`]:
-//!   either the next operation or completion. One plain function call
-//!   per simulated op; no channels, no parking, no context switches.
-//! * [`FutureThread`] — the adapter that turns an ordinary `async`
-//!   workload body into a `Resumable`. Workload authors keep writing
-//!   straight-line code (`ctx.load_u32(a).await`); the compiler builds
-//!   the state machine, and [`OpCell`] smuggles each operation out of
-//!   the suspended future and each reply back in.
+//! * [`FutureThread`] turns an ordinary `async` workload body into that
+//!   state machine. Workload authors write straight-line code
+//!   (`ctx.load_u32(a).await`); the compiler builds the state machine,
+//!   and [`OpCell`] smuggles each operation out of the suspended future
+//!   and each reply back in.
+//! * [`FutureThread::resume`] feeds the previous operation's reply in
+//!   and returns the next [`Step`]: either the next operation or
+//!   completion. One plain function call per simulated op; no channels,
+//!   no parking, no context switches.
 //!
-//! Determinism is structural rather than protocol-based: there is only
-//! one thread, so there is no interleaving to get right. The engine
-//! decides exactly when each core resumes, same as it decided when each
-//! rendezvous reply was sent — byte-identical schedules, no OS in the
-//! loop.
+//! Determinism is structural: there is only one thread, so there is no
+//! interleaving to get right. The engine decides exactly when each core
+//! resumes.
 //!
 //! Panic handling is the caller's job: `resume` is a bare poll on the
 //! busiest edge of the simulator, so it carries no per-call
@@ -28,8 +23,7 @@
 //! the whole generator descent and measurably caps throughput). A
 //! workload panic simply unwinds out of `resume`; the machine's event
 //! loop installs one guard per *run* and re-labels the payload with the
-//! offending core, and the legacy OS-thread harness catches at thread
-//! scope as it always did.
+//! offending core.
 
 use std::cell::Cell;
 use std::future::Future;
@@ -44,27 +38,10 @@ pub enum Step<Op> {
     /// The workload issued `Op` and is suspended until the engine
     /// resumes it with a reply.
     Op(Op),
-    /// The workload finished. `Some(message)` if a panic was captured on
-    /// its way here — produced by drivers that wrap the workload in
-    /// their own unwind guard (the legacy OS-thread harness); the engine
-    /// decides how to surface that. [`FutureThread::resume`] itself
-    /// never returns `Done(Some(_))`: it lets panics propagate so the
-    /// hot path stays a plain poll (see the module docs).
-    Done(Option<String>),
-}
-
-/// An engine-steppable workload.
-///
-/// The protocol mirrors the old rendezvous exactly: the first `resume`
-/// passes `None` (there is nothing to reply to yet); every later call
-/// passes `Some(reply)` for the operation returned by the previous call.
-pub trait Resumable {
-    type Op;
-    type Reply;
-
-    /// Feeds the previous operation's reply in and runs the workload to
-    /// its next suspension point (or to completion).
-    fn resume(&mut self, reply: Option<Self::Reply>) -> Step<Self::Op>;
+    /// The workload finished. A panicking workload never gets here: its
+    /// panic propagates out of [`FutureThread::resume`] (see the module
+    /// docs).
+    Done,
 }
 
 /// The shared mailbox between a suspended workload future and the
@@ -132,18 +109,19 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".to_string())
 }
 
-/// Adapts an `async` workload body into a [`Resumable`]: the engine's
-/// view of one simulated core's instruction stream.
+/// Adapts an `async` workload body into an engine-steppable state
+/// machine: the engine's view of one simulated core's instruction
+/// stream.
 ///
 /// ```
-/// use ghostwriter_sim::{FutureThread, Resumable, Step};
+/// use ghostwriter_sim::{FutureThread, Step};
 ///
 /// let mut t: FutureThread<u64, u64> = FutureThread::new(|cell| async move {
 ///     let doubled = cell.call(21).await;
 ///     assert_eq!(doubled, 42);
 /// });
 /// assert_eq!(t.resume(None), Step::Op(21));
-/// assert_eq!(t.resume(Some(42)), Step::Done(None));
+/// assert_eq!(t.resume(Some(42)), Step::Done);
 /// ```
 pub struct FutureThread<Op, Reply> {
     cell: Rc<OpCell<Op, Reply>>,
@@ -171,13 +149,12 @@ impl<Op, Reply> FutureThread<Op, Reply> {
     pub fn is_done(&self) -> bool {
         self.future.is_none()
     }
-}
 
-impl<Op, Reply> Resumable for FutureThread<Op, Reply> {
-    type Op = Op;
-    type Reply = Reply;
-
-    /// Runs the workload to its next suspension point.
+    /// Feeds the previous operation's reply in and runs the workload to
+    /// its next suspension point (or to completion). The first call
+    /// passes `None` (there is nothing to reply to yet); every later
+    /// call passes `Some(reply)` for the operation the previous call
+    /// returned.
     ///
     /// # Panics
     /// A panic inside the workload body propagates to the caller —
@@ -187,10 +164,9 @@ impl<Op, Reply> Resumable for FutureThread<Op, Reply> {
     /// boundary) and cost up to 25% of full-simulation throughput;
     /// drivers that want captured panics install ONE guard around their
     /// whole run loop instead (the machine's event loop does exactly
-    /// that, and the legacy OS-thread harness already catches at thread
-    /// scope). After a propagated panic the thread is poisoned and must
+    /// that). After a propagated panic the thread is poisoned and must
     /// not be resumed again.
-    fn resume(&mut self, reply: Option<Reply>) -> Step<Op> {
+    pub fn resume(&mut self, reply: Option<Reply>) -> Step<Op> {
         let future = self
             .future
             .as_mut()
@@ -209,7 +185,7 @@ impl<Op, Reply> Resumable for FutureThread<Op, Reply> {
             }
             Poll::Ready(()) => {
                 self.future = None;
-                Step::Done(None)
+                Step::Done
             }
         }
     }
@@ -233,7 +209,7 @@ mod tests {
         assert_eq!(t.resume(Some(10)), Step::Op(2));
         assert_eq!(t.resume(Some(20)), Step::Op(3));
         assert!(!t.is_done());
-        assert_eq!(t.resume(Some(30)), Step::Done(None));
+        assert_eq!(t.resume(Some(30)), Step::Done);
         assert!(t.is_done());
     }
 
@@ -251,7 +227,7 @@ mod tests {
     #[test]
     fn immediate_completion_without_ops() {
         let mut t: FutureThread<u8, u8> = FutureThread::new(|_cell| async move {});
-        assert_eq!(t.resume(None), Step::Done(None));
+        assert_eq!(t.resume(None), Step::Done);
         assert!(t.is_done());
     }
 
@@ -291,7 +267,7 @@ mod tests {
     #[should_panic(expected = "already finished")]
     fn resuming_a_finished_workload_panics() {
         let mut t: FutureThread<u8, u8> = FutureThread::new(|_cell| async move {});
-        assert_eq!(t.resume(None), Step::Done(None));
+        assert_eq!(t.resume(None), Step::Done);
         t.resume(None);
     }
 
@@ -303,6 +279,6 @@ mod tests {
             assert_eq!(bytes, vec![1, 2, 3]);
         });
         assert_eq!(t.resume(None), Step::Op("read".to_string()));
-        assert_eq!(t.resume(Some(vec![1, 2, 3])), Step::Done(None));
+        assert_eq!(t.resume(Some(vec![1, 2, 3])), Step::Done);
     }
 }

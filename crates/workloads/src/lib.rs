@@ -38,8 +38,6 @@ pub use registry::{
     extended_benchmarks, find_benchmark, micro_benchmarks, paper_benchmarks, BenchmarkEntry,
     ScaleClass, Suite, DEFAULT_SEED,
 };
-#[cfg(feature = "legacy-threads")]
-pub use runner::execute_legacy;
 pub use runner::{
     compare, compare_default, execute, execute_faulty, Comparison, RunOutcome, Workload,
 };

@@ -55,23 +55,9 @@ pub fn execute(
     d: u8,
 ) -> RunOutcome {
     assert!(threads >= 1 && threads <= cfg.cores);
-    run_built(workload, Machine::new(cfg), threads, d)
-}
-
-/// [`execute`], but on the pre-resumable OS-thread engine. Exists solely
-/// so the differential suite can prove both engines produce bit-identical
-/// results; never used by experiments.
-#[cfg(feature = "legacy-threads")]
-pub fn execute_legacy(
-    workload: &mut dyn Workload,
-    cfg: MachineConfig,
-    threads: usize,
-    d: u8,
-) -> RunOutcome {
-    assert!(threads >= 1 && threads <= cfg.cores);
     let mut m = Machine::new(cfg);
-    m.use_legacy_engine();
-    run_built(workload, m, threads, d)
+    workload.build(&mut m, threads, d);
+    finish(workload, m.run())
 }
 
 /// [`execute`] under a fault-injection configuration, with the abort
@@ -92,11 +78,6 @@ pub fn execute_faulty(
     workload.build(&mut m, threads, d);
     let run = m.try_run()?;
     Ok(finish(workload, run))
-}
-
-fn run_built(workload: &mut dyn Workload, mut m: Machine, threads: usize, d: u8) -> RunOutcome {
-    workload.build(&mut m, threads, d);
-    finish(workload, m.run())
 }
 
 fn finish(workload: &dyn Workload, run: FinishedRun) -> RunOutcome {

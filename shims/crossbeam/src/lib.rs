@@ -1,9 +1,9 @@
 //! Offline drop-in subset of the `crossbeam` 0.8 API.
 //!
 //! The workspace only uses `crossbeam::channel::{bounded, Sender,
-//! Receiver}` (zero-capacity rendezvous channels in the execution-driven
-//! thread harness), which maps directly onto `std::sync::mpsc`
-//! rendezvous channels. See `[patch.crates-io]` in the root manifest.
+//! Receiver}` (the result channel of the experiment engine's
+//! work-stealing pool), which maps directly onto `std::sync::mpsc` sync
+//! channels. See `[patch.crates-io]` in the root manifest.
 
 pub mod channel {
     use std::fmt;
