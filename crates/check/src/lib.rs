@@ -33,7 +33,9 @@ use ghostwriter_core::harness::{Op, System, SystemConfig, Violation};
 use ghostwriter_core::l1::GwParams;
 use ghostwriter_core::msg::{Msg, Payload, PayloadCtl, WireTag};
 use ghostwriter_core::proto::find_row;
-use ghostwriter_core::{BaseProtocol, Coverage, GiStorePolicy, RecoveryParams, ScribePolicy};
+use ghostwriter_core::{
+    parse_protocol, BaseProtocol, Coverage, GiStorePolicy, RecoveryParams, ScribePolicy,
+};
 
 pub mod shard;
 pub mod trace;
@@ -642,17 +644,18 @@ impl ProtocolKind {
         Self::GhostwriterMoesi,
     ];
 
+    /// The kind a [`parse_protocol`] token names, if the checker has one
+    /// (it checks Ghostwriter over MESI and MOESI only).
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "mesi" => Some(Self::Mesi),
-            "msi" => Some(Self::Msi),
-            "moesi" => Some(Self::Moesi),
-            "mosi" => Some(Self::Mosi),
-            "mesif" => Some(Self::Mesif),
-            "gw" | "ghostwriter" => Some(Self::Ghostwriter),
-            "gw-moesi" | "ghostwriter-moesi" => Some(Self::GhostwriterMoesi),
-            _ => None,
-        }
+        let (protocol, base) = parse_protocol(s)?;
+        Self::ALL
+            .into_iter()
+            .find(|k| k.base() == base && k.is_ghostwriter() == protocol.is_ghostwriter())
+    }
+
+    /// True for the kinds that add Ghostwriter's GS/GI rows.
+    pub fn is_ghostwriter(&self) -> bool {
+        matches!(self, Self::Ghostwriter | Self::GhostwriterMoesi)
     }
 
     /// Canonical command-line token (inverse of [`ProtocolKind::parse`],
@@ -690,11 +693,7 @@ fn pow2_at_least(n: usize) -> usize {
 /// enough to hold the pool (evictions and recalls are exercised by the
 /// deeper sweeps that shrink the geometry instead).
 pub fn check_config(kind: ProtocolKind, cores: usize, blocks: usize) -> SystemConfig {
-    let gw = matches!(
-        kind,
-        ProtocolKind::Ghostwriter | ProtocolKind::GhostwriterMoesi
-    )
-    .then_some(GwParams {
+    let gw = kind.is_ghostwriter().then_some(GwParams {
         scribe: ScribePolicy::Bitwise,
         enable_gs: true,
         enable_gi: true,
@@ -722,10 +721,7 @@ pub fn step_alphabet(kind: ProtocolKind, cores: usize, blocks: usize) -> Vec<Ste
     for writer in 0..cores {
         ops.push(Op::Load { writer });
     }
-    if matches!(
-        kind,
-        ProtocolKind::Ghostwriter | ProtocolKind::GhostwriterMoesi
-    ) {
+    if kind.is_ghostwriter() {
         ops.push(Op::Scribble { d: 4 });
     }
     let mut steps = Vec::new();
@@ -816,6 +812,26 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         vec![conv(a), conv(b)]
+    }
+
+    #[test]
+    fn protocol_kind_tokens_round_trip() {
+        for k in ProtocolKind::ALL {
+            assert_eq!(ProtocolKind::parse(k.token()), Some(k));
+        }
+        assert_eq!(
+            ProtocolKind::parse("ghostwriter"),
+            Some(ProtocolKind::Ghostwriter)
+        );
+        assert_eq!(
+            ProtocolKind::parse("ghostwriter-moesi"),
+            Some(ProtocolKind::GhostwriterMoesi)
+        );
+        // Valid simulator tokens the checker has no kind for.
+        for token in ["gw-msi", "gw-mosi", "gw-mesif", "ghostwriter-msi"] {
+            assert_eq!(ProtocolKind::parse(token), None, "{token}");
+        }
+        assert_eq!(ProtocolKind::parse("frobnicate"), None);
     }
 
     #[test]

@@ -81,6 +81,11 @@ impl BaseProtocol {
         }
     }
 
+    /// Inverse of [`BaseProtocol::name`].
+    pub fn parse(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|b| b.name() == name)
+    }
+
     /// Every member of the family, in ladder order.
     pub const ALL: [BaseProtocol; 5] = [
         BaseProtocol::Mesi,
@@ -165,6 +170,25 @@ impl Protocol {
     pub fn is_ghostwriter(&self) -> bool {
         matches!(self, Protocol::Ghostwriter(_))
     }
+}
+
+/// Parses a protocol token, the one spelling every CLI accepts: a base
+/// name (`mesi`, `msi`, ...) runs that family alone, `gw` runs
+/// Ghostwriter over MESI and `gw-<base>` runs it over `<base>`
+/// (`ghostwriter` is an alias of the `gw` prefix). A Ghostwriter result
+/// carries the default [`GwConfig`].
+pub fn parse_protocol(token: &str) -> Option<(Protocol, BaseProtocol)> {
+    if let Some(base) = BaseProtocol::parse(token) {
+        return Some((Protocol::Mesi, base));
+    }
+    let rest = token
+        .strip_prefix("gw")
+        .or_else(|| token.strip_prefix("ghostwriter"))?;
+    let base = match rest {
+        "" => BaseProtocol::Mesi,
+        _ => BaseProtocol::parse(rest.strip_prefix('-')?)?,
+    };
+    Some((Protocol::ghostwriter(), base))
 }
 
 /// Full machine configuration (paper Table 1 by default).
@@ -284,22 +308,37 @@ impl MachineConfig {
     }
 
     /// Validates internal consistency; called by the machine builder.
+    /// Panics with [`MachineConfig::check`]'s message.
     pub fn validate(&self) {
-        assert!(self.cores >= 1 && self.cores <= 64, "1..=64 cores");
-        assert!(
-            (self.l1_kb * 1024 / 64 / self.l1_ways).is_power_of_two(),
-            "L1 sets must be a power of two"
-        );
-        assert!(
-            (self.l2_bank_kb * 1024 / 64 / self.l2_ways).is_power_of_two(),
-            "L2 sets must be a power of two"
-        );
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// The consistency rules [`MachineConfig::validate`] enforces, as a
+    /// value, for front ends that reject bad input instead of panicking.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if !(1..=64).contains(&self.cores) {
+            return Err("cores must be in 1..=64");
+        }
+        if !(self.l1_kb * 1024 / 64 / self.l1_ways).is_power_of_two() {
+            return Err("L1 sets must be a power of two");
+        }
+        if !(self.l2_bank_kb * 1024 / 64 / self.l2_ways).is_power_of_two() {
+            return Err("L2 sets must be a power of two");
+        }
+        if self.context_switch_period == Some(0) {
+            return Err("context-switch period must be positive");
+        }
         if let Protocol::Ghostwriter(gw) = self.protocol {
-            assert!(gw.gi_timeout > 0, "GI timeout must be positive");
-            if let Some(bound) = gw.max_hidden_writes {
-                assert!(bound > 0, "error bound must be positive");
+            if gw.gi_timeout == 0 {
+                return Err("GI timeout must be positive");
+            }
+            if gw.max_hidden_writes == Some(0) {
+                return Err("error bound must be positive");
             }
         }
+        Ok(())
     }
 }
 
@@ -342,6 +381,8 @@ mod tests {
     fn small_config_validates() {
         MachineConfig::small(4, Protocol::ghostwriter()).validate();
         MachineConfig::small(1, Protocol::Mesi).validate();
+        let too_big = MachineConfig::small(65, Protocol::Mesi);
+        assert_eq!(too_big.check(), Err("cores must be in 1..=64"));
     }
 
     #[test]
@@ -397,5 +438,22 @@ mod tests {
         }
         assert_eq!(Moesi.name(), "moesi");
         assert_eq!(Mesif.name(), "mesif");
+    }
+
+    #[test]
+    fn protocol_tokens_round_trip() {
+        for b in BaseProtocol::ALL {
+            assert_eq!(BaseProtocol::parse(b.name()), Some(b));
+            assert_eq!(parse_protocol(b.name()), Some((Protocol::Mesi, b)));
+            let gw = Some((Protocol::ghostwriter(), b));
+            assert_eq!(parse_protocol(&format!("gw-{}", b.name())), gw);
+            assert_eq!(parse_protocol(&format!("ghostwriter-{}", b.name())), gw);
+        }
+        let gw_mesi = Some((Protocol::ghostwriter(), BaseProtocol::Mesi));
+        assert_eq!(parse_protocol("gw"), gw_mesi);
+        assert_eq!(parse_protocol("ghostwriter"), gw_mesi);
+        for bad in ["", "gw-", "gwmsi", "gw-gw", "MESI", "ghost"] {
+            assert_eq!(parse_protocol(bad), None, "{bad:?}");
+        }
     }
 }

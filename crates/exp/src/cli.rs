@@ -7,6 +7,7 @@
 //! gwbench faults [options]
 //! gwbench perf [--smoke] [--out FILE] [--baseline FILE] [--reps N] [--quiet]
 //! gwbench profile [--smoke] [--out FILE] [--overhead-check] [--phases [FILE]] [--quiet]
+//! gwbench sim <app> [sim options]
 //! gwbench clean
 //!
 //! options:
@@ -31,6 +32,13 @@
 //! cycle share exceeds its bound in the committed snapshot
 //! (`PROFILE_phases.json`; regen with `UPDATE_GOLDEN=1`).
 //!
+//! `sim` runs one application on a configurable machine and prints the
+//! full report, or with `--compare` the baseline/Ghostwriter pair and
+//! the paper's derived metrics. It calls the workload runner directly:
+//! no cache, no report files. `--protocol` takes the token
+//! [`ghostwriter_core::parse_protocol`] defines (the same one `gwcheck`
+//! takes); under `--compare` only its base family matters.
+//!
 //! `faults` runs the resilience campaign (see [`crate::resilience`]):
 //! the fault-rate × protocol × workload grid under seeded fault
 //! injection, rendered as resilience curves in `RESILIENCE.txt`. It
@@ -48,6 +56,13 @@
 //! structured sweep log to `results/cache/last_sweep.json`.
 
 use std::path::PathBuf;
+use std::str::FromStr;
+
+use ghostwriter_core::config::{GiStorePolicy, GwConfig};
+use ghostwriter_core::{parse_protocol, BaseProtocol, MachineConfig, Protocol};
+use ghostwriter_workloads::{
+    all_benchmarks, compare_on, execute, find_benchmark, BenchmarkEntry, ScaleClass,
+};
 
 use crate::engine::Engine;
 use crate::experiments::{all_experiments, eval_csv, find_experiment, Experiment};
@@ -74,13 +89,47 @@ fn usage() -> String {
         "usage: gwbench <list|run <experiment>...|repro-all|faults|clean>\n\
          \x20      [--jobs N] [--no-cache] [--smoke] [--expect-cached] [--quiet]\n\
          \x20      gwbench perf [--smoke] [--out FILE] [--baseline FILE] [--reps N] [--quiet]\n\
-         \x20      gwbench profile [--smoke] [--out FILE] [--overhead-check] [--phases [FILE]] [--quiet]\n",
+         \x20      gwbench profile [--smoke] [--out FILE] [--overhead-check] [--phases [FILE]] [--quiet]\n\
+         \x20      gwbench sim <app> [sim options]\n",
     );
     s.push_str("\nexperiments:\n");
     for e in all_experiments() {
         s.push_str(&format!("  {:<22} {}\n", e.name, e.title));
     }
+    s.push_str(
+        "\nsim options:\n\
+         \x20 --cores N              cores, 1..=64 (default 24, paper Table 1)\n\
+         \x20 --threads N            threads, 1..=cores (default = cores)\n\
+         \x20 --d N                  d-distance for scribbles, 0..=255 (default 8)\n\
+         \x20 --protocol P           <base>, gw or gw-<base>; base is mesi, msi, moesi,\n\
+         \x20                        mosi or mesif (default gw = Ghostwriter over MESI)\n\
+         \x20 --capture              Fig. 3-literal GI store policy\n\
+         \x20 --timeout N            GI timeout in cycles (default 1024)\n\
+         \x20 --bound N              §3.5 error bound (max hidden writes)\n\
+         \x20 --contention           model per-link NoC contention\n\
+         \x20 --switch N             context-switch period in cycles (§3.5 forfeit)\n\
+         \x20 --scale test|eval      input scale (default eval)\n\
+         \x20 --compare              run the baseline and Ghostwriter, derive Figs. 7-11\n",
+    );
+    s.push_str("\napps:\n");
+    for e in all_benchmarks() {
+        s.push_str(&format!(
+            "  {:<22} {} ({})\n",
+            e.name,
+            e.domain,
+            e.suite.label()
+        ));
+    }
     s
+}
+
+/// The value after `flag`, parsed as `T`.
+fn flag_value<'a, T: FromStr>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("bad {flag} value `{v}`"))
 }
 
 fn parse(args: &[String]) -> Result<Options, String> {
@@ -96,8 +145,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                opts.jobs = v.parse().map_err(|_| format!("bad --jobs value `{v}`"))?;
+                opts.jobs = flag_value(&mut it, a)?;
                 if opts.jobs == 0 {
                     return Err("--jobs must be >= 1".into());
                 }
@@ -111,6 +159,200 @@ fn parse(args: &[String]) -> Result<Options, String> {
         }
     }
     Ok(opts)
+}
+
+/// Parsed `gwbench sim` command line.
+struct SimOptions {
+    app: BenchmarkEntry,
+    /// The machine with the baseline protocol; `gw` replaces it for the
+    /// Ghostwriter run.
+    machine: MachineConfig,
+    gw: Protocol,
+    /// Whether a single run uses `gw` (else the baseline).
+    run_gw: bool,
+    threads: usize,
+    d: u8,
+    scale: ScaleClass,
+    compare: bool,
+}
+
+fn parse_sim(args: &[String]) -> Result<SimOptions, String> {
+    let mut app = None;
+    let mut cores = 24;
+    let mut threads = None;
+    let mut d = 8;
+    let mut run_gw = true;
+    let mut base_protocol = BaseProtocol::Mesi;
+    let mut gw = GwConfig::default();
+    let mut model_contention = false;
+    let mut context_switch_period = None;
+    let mut scale = ScaleClass::Eval;
+    let mut compare = false;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--cores" => cores = flag_value(&mut it, a)?,
+            "--threads" => threads = Some(flag_value(&mut it, a)?),
+            "--d" => d = flag_value(&mut it, a)?,
+            "--protocol" => {
+                let v: String = flag_value(&mut it, a)?;
+                let (p, b) = parse_protocol(&v).ok_or_else(|| format!("unknown protocol `{v}`"))?;
+                run_gw = p.is_ghostwriter();
+                base_protocol = b;
+            }
+            "--capture" => gw.gi_stores = GiStorePolicy::Capture,
+            "--timeout" => gw.gi_timeout = flag_value(&mut it, a)?,
+            "--bound" => gw.max_hidden_writes = Some(flag_value(&mut it, a)?),
+            "--contention" => model_contention = true,
+            "--switch" => context_switch_period = Some(flag_value(&mut it, a)?),
+            "--scale" => {
+                scale = match it.next().map(String::as_str) {
+                    Some("test") => ScaleClass::Test,
+                    Some("eval") => ScaleClass::Eval,
+                    _ => return Err("--scale needs `test` or `eval`".into()),
+                }
+            }
+            "--compare" => compare = true,
+            name if !name.starts_with('-') && app.is_none() => {
+                app = Some(
+                    find_benchmark(name).ok_or_else(|| format!("unknown application `{name}`"))?,
+                );
+            }
+            name if !name.starts_with('-') => return Err("sim takes one application".into()),
+            flag => return Err(format!("unknown sim flag `{flag}`")),
+        }
+    }
+    let app = app.ok_or("sim needs an application name")?;
+    let machine = MachineConfig {
+        cores,
+        protocol: Protocol::Mesi,
+        base_protocol,
+        model_contention,
+        context_switch_period,
+        ..MachineConfig::default()
+    };
+    let gw = Protocol::Ghostwriter(gw);
+    MachineConfig {
+        protocol: gw,
+        ..machine.clone()
+    }
+    .check()
+    .map_err(|e| format!("invalid machine: {e}"))?;
+    let threads = threads.unwrap_or(cores);
+    if !(1..=cores).contains(&threads) {
+        return Err(format!("--threads must be in 1..={cores}"));
+    }
+    Ok(SimOptions {
+        app,
+        machine,
+        gw,
+        run_gw,
+        threads,
+        d,
+        scale,
+        compare,
+    })
+}
+
+/// `gwbench sim`: one uncached run (or `--compare` pair), printed.
+fn run_sim(o: &SimOptions) {
+    let entry = &o.app;
+    let cores = o.machine.cores;
+    if o.compare {
+        let cmp = compare_on(&|| entry.build(o.scale), &o.machine, o.threads, o.d, o.gw);
+        let (base, g) = (&cmp.baseline.report, &cmp.ghostwriter.report);
+        println!(
+            "{} @ {} cores, d={} ({})",
+            entry.name,
+            cores,
+            o.d,
+            entry.metric.label()
+        );
+        println!(
+            "  baseline : {:>9} cycles  {:>8} messages",
+            base.cycles,
+            base.stats.traffic.total()
+        );
+        println!(
+            "  ghostwriter: {:>7} cycles  {:>8} messages",
+            g.cycles,
+            g.stats.traffic.total()
+        );
+        println!(
+            "  speedup {:.1}%  traffic {:.3}  energy saved {:.1}%  error {:.4}%",
+            cmp.speedup_percent(),
+            cmp.normalized_traffic(),
+            cmp.energy_saved_percent(),
+            cmp.output_error_percent()
+        );
+        println!(
+            "  GS serviced {:.1}%  GI serviced {:.1}%  GS inv {}  GI timeouts {}",
+            cmp.gs_serviced_percent(),
+            cmp.gi_serviced_percent(),
+            g.stats.gs_invalidations,
+            g.stats.gi_timeouts
+        );
+        return;
+    }
+
+    let protocol = if o.run_gw { o.gw } else { Protocol::Mesi };
+    let cfg = MachineConfig {
+        protocol,
+        ..o.machine.clone()
+    };
+    let mut w = entry.build(o.scale);
+    let out = execute(w.as_mut(), cfg, o.threads, o.d);
+    let s = &out.report.stats;
+    println!("{} @ {} cores, {:?}", entry.name, cores, protocol);
+    println!("  cycles           : {}", out.report.cycles);
+    println!(
+        "  instructions     : {} loads, {} stores, {} scribbles, {} barriers",
+        s.loads, s.stores, s.scribbles, s.barriers
+    );
+    println!(
+        "  L1               : {} hits, {} misses ({:.2}% miss rate)",
+        s.l1_load_hits + s.l1_store_hits,
+        s.l1_misses(),
+        100.0 * s.l1_misses() as f64 / s.l1_accesses().max(1) as f64
+    );
+    println!(
+        "  coherence        : {} messages, {} flit-hops",
+        s.traffic.total(),
+        s.traffic.flit_hops()
+    );
+    println!(
+        "  approximate      : GS {} entries + {} hits, GI {} entries + {} hits, {} forfeits",
+        s.serviced_by_gs,
+        s.gs_hits,
+        s.serviced_by_gi,
+        s.gi_store_hits,
+        s.gs_invalidations + s.gi_timeouts + s.approx_evictions
+    );
+    println!(
+        "  DRAM             : {} reads, {} writes",
+        s.dram_reads, s.dram_writes
+    );
+    println!(
+        "  energy           : {:.1} nJ memory + {:.1} nJ network",
+        out.report.energy.memory_pj / 1000.0,
+        out.report.energy.network_pj / 1000.0
+    );
+    println!(
+        "  output error     : {:.4}% ({})",
+        out.error_percent,
+        entry.metric.label()
+    );
+    println!(
+        "  load imbalance   : {:.3} (max finish / mean finish)",
+        out.report.imbalance()
+    );
+    println!("  per-core         : ops / hits / misses / approx-serviced / finish");
+    for (c, pc) in out.report.per_core.iter().enumerate() {
+        println!(
+            "    core {c:<2}        : {:>7} {:>7} {:>6} {:>6} {:>9}",
+            pc.ops, pc.l1_hits, pc.l1_misses, pc.approx_serviced, pc.finish_cycle
+        );
+    }
 }
 
 fn report_dir(scale: Scale) -> PathBuf {
@@ -209,8 +451,8 @@ fn run_experiments(experiments: Vec<Experiment>, opts: &Options) -> i32 {
     0
 }
 
-/// Entry point shared by the `gwbench` binary and the thin legacy
-/// wrappers. `args` excludes the program name. Returns the exit code.
+/// Entry point of the `gwbench` binary. `args` excludes the program
+/// name. Returns the exit code.
 pub fn main_with_args(args: Vec<String>) -> i32 {
     let Some((cmd, rest)) = args.split_first() else {
         eprint!("{}", usage());
@@ -313,6 +555,16 @@ pub fn main_with_args(args: Vec<String>) -> i32 {
             }
             crate::profile::main_profile(smoke, &out, quiet, check_overhead, phases.as_deref())
         }
+        "sim" => match parse_sim(rest) {
+            Ok(o) => {
+                run_sim(&o);
+                0
+            }
+            Err(e) => {
+                eprintln!("gwbench: {e}\n\n{}", usage());
+                2
+            }
+        },
         "faults" => {
             let opts = match parse(rest) {
                 Ok(o) => o,

@@ -1213,28 +1213,24 @@ fn extended_eval_render(spec: &ExperimentSpec, records: &[RunRecord]) -> String 
 }
 
 // ---------------------------------------------------------------------
-// Value-similarity deep profile (parameterizable; registry defaults).
+// Value-similarity deep profile.
 
-/// The parameterized profile spec (`profile_similarity [app] [cores]`).
-/// The default `linear_regression` at the evaluation core count is the
-/// Fig. 2 cell, so the profile is free once Fig. 2 has run.
-pub fn profile_similarity_spec(app: &str, n_cores: usize, scale: Scale) -> ExperimentSpec {
-    let mut cfg = machine(scale, Protocol::Mesi);
-    cfg.cores = n_cores;
-    ExperimentSpec {
-        experiment: "profile_similarity",
-        runs: vec![workload_run(
-            format!("{app}/profile"),
-            registry_wl(app, scale),
-            cfg,
-            n_cores,
-            0,
-        )],
-    }
+/// The profile's one run: `linear_regression` at the evaluation core
+/// count, which is the Fig. 2 cell, so the profile is free once Fig. 2
+/// has run.
+fn profile_spec(scale: Scale) -> Vec<RunSpec> {
+    let app = "linear_regression";
+    vec![workload_run(
+        format!("{app}/profile"),
+        registry_wl(app, scale),
+        machine(scale, Protocol::Mesi),
+        cores(scale),
+        0,
+    )]
 }
 
 /// Renders the per-distance histogram profile for the spec's single run.
-pub fn profile_similarity_render(spec: &ExperimentSpec, records: &[RunRecord]) -> String {
+fn profile_similarity_render(spec: &ExperimentSpec, records: &[RunRecord]) -> String {
     let run = &spec.runs[0];
     let (app, n_cores) = match &run.kind {
         RunKind::Workload {
@@ -1269,10 +1265,6 @@ pub fn profile_similarity_render(spec: &ExperimentSpec, records: &[RunRecord]) -
     );
     let _ = writeln!(out, "0-distance, 36.4% within 4 and 43.7% within 8.");
     out
-}
-
-fn profile_default_spec(scale: Scale) -> Vec<RunSpec> {
-    profile_similarity_spec("linear_regression", cores(scale), scale).runs
 }
 
 // ---------------------------------------------------------------------
@@ -1589,8 +1581,8 @@ fn repro_all_render(spec: &ExperimentSpec, records: &[RunRecord]) -> String {
     out
 }
 
-/// The evaluation sweep as CSV, one row per app × d (matches the old
-/// `repro_all --csv` output).
+/// The evaluation sweep as CSV, one row per app × d (`gwbench` writes
+/// it as `eval.csv` next to the repro_all report).
 pub fn eval_csv(spec: &ExperimentSpec, records: &[RunRecord]) -> String {
     let mut out = String::from(concat!(
         "app,d,gs_serviced_pct,gi_serviced_pct,normalized_traffic,",
@@ -1743,7 +1735,7 @@ pub fn all_experiments() -> Vec<Experiment> {
             name: "profile_similarity",
             title: "per-distance similarity histogram (default app)",
             output: "profile_similarity.txt",
-            spec_fn: profile_default_spec,
+            spec_fn: profile_spec,
             render_fn: profile_similarity_render,
         },
         Experiment {

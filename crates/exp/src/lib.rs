@@ -13,10 +13,10 @@
 //!   in spec order so output is invariant under `--jobs`.
 //! - [`engine`] — dedup → cache probe → execute → [`record::RunRecord`]s
 //!   plus a structured [`engine::SweepLog`].
-//! - [`experiments`] — the registry of all 21 reports with pure
+//! - [`experiments`] — the registry of all 22 reports with pure
 //!   renderers over cached records.
 //! - [`cli`] — the `gwbench` command line (list / run / repro-all /
-//!   perf / clean) that the thin `crates/bench` wrappers invoke.
+//!   faults / perf / profile / sim / clean).
 //! - [`perf`] — the perf-regression kernel harness behind `gwbench perf`
 //!   (`BENCH_kernel.json`).
 //! - [`profile`] — the cycle-attribution reporter behind

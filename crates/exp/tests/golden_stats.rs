@@ -15,6 +15,7 @@
 use std::fs;
 use std::path::PathBuf;
 
+use ghostwriter_exp::experiments::{eval_csv, EVAL_DISTANCES, PAPER_APPS};
 use ghostwriter_exp::record::records_fingerprint;
 use ghostwriter_exp::{all_experiments, find_experiment, Engine, RunRecord, Scale};
 
@@ -53,6 +54,26 @@ fn rendered_reports_are_jobs_invariant() {
         let a = exp.render(&spec, &run_uncached(&spec.runs, 1));
         let b = exp.render(&spec, &run_uncached(&spec.runs, 8));
         assert_eq!(a, b, "{name}: rendered report must not depend on --jobs");
+    }
+}
+
+#[test]
+fn eval_csv_has_header_and_rows() {
+    // `eval.csv`, written next to the repro_all report: one row per
+    // paper app × d-distance, each as wide as the header.
+    let spec = find_experiment("repro_all").unwrap().spec(Scale::Smoke);
+    let csv = eval_csv(&spec, &run_uncached(&spec.runs, 2));
+    let lines: Vec<&str> = csv.lines().collect();
+    assert!(lines[0].starts_with("app,d,"));
+    assert_eq!(lines.len(), 1 + PAPER_APPS.len() * EVAL_DISTANCES.len());
+    let width = lines[0].split(',').count();
+    for (row, (app, d)) in lines[1..].iter().zip(
+        PAPER_APPS
+            .iter()
+            .flat_map(|app| EVAL_DISTANCES.iter().map(move |d| (app, d))),
+    ) {
+        assert!(row.starts_with(&format!("{app},{d},")), "{row}");
+        assert_eq!(row.split(',').count(), width, "{row}");
     }
 }
 

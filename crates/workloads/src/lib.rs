@@ -35,11 +35,11 @@ pub use linreg::LinearRegression;
 pub use metrics::{mpe, nrmse, Metric};
 pub use pca::Pca;
 pub use registry::{
-    extended_benchmarks, find_benchmark, micro_benchmarks, paper_benchmarks, BenchmarkEntry,
-    ScaleClass, Suite, DEFAULT_SEED,
+    all_benchmarks, extended_benchmarks, find_benchmark, micro_benchmarks, paper_benchmarks,
+    BenchmarkEntry, ScaleClass, Suite, DEFAULT_SEED,
 };
 pub use runner::{
-    compare, compare_default, execute, execute_faulty, Comparison, RunOutcome, Workload,
+    compare, compare_default, compare_on, execute, execute_faulty, Comparison, RunOutcome, Workload,
 };
 pub use sobel::Sobel;
 pub use tuner::{autotune, Candidate, TuneResult, DEFAULT_LADDER};

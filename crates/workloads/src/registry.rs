@@ -84,13 +84,17 @@ impl BenchmarkEntry {
 /// The evaluation-default input seed (EXPERIMENTS.md provenance).
 pub const DEFAULT_SEED: u64 = 0xC0FFEE;
 
+/// All three rosters: paper, extended, then micro.
+pub fn all_benchmarks() -> Vec<BenchmarkEntry> {
+    let mut all = paper_benchmarks();
+    all.extend(extended_benchmarks());
+    all.extend(micro_benchmarks());
+    all
+}
+
 /// Looks a benchmark up by name across all three rosters.
 pub fn find_benchmark(name: &str) -> Option<BenchmarkEntry> {
-    paper_benchmarks()
-        .into_iter()
-        .chain(extended_benchmarks())
-        .chain(micro_benchmarks())
-        .find(|e| e.name == name)
+    all_benchmarks().into_iter().find(|e| e.name == name)
 }
 
 /// The six paper applications (Table 2).

@@ -151,11 +151,26 @@ pub fn compare(
     d: u8,
     gw_protocol: Protocol,
 ) -> Comparison {
+    let machine = MachineConfig {
+        cores,
+        ..MachineConfig::default()
+    };
+    compare_on(factory, &machine, threads, d, gw_protocol)
+}
+
+/// [`compare`] on an arbitrary machine: both runs use `machine` with its
+/// `protocol` replaced (MESI-family baseline, then `gw_protocol`).
+pub fn compare_on(
+    factory: &dyn Fn() -> Box<dyn Workload>,
+    machine: &MachineConfig,
+    threads: usize,
+    d: u8,
+    gw_protocol: Protocol,
+) -> Comparison {
     assert!(gw_protocol.is_ghostwriter());
     let mk_cfg = |protocol| MachineConfig {
-        cores,
         protocol,
-        ..MachineConfig::default()
+        ..machine.clone()
     };
     let mut base_w = factory();
     let baseline = execute(base_w.as_mut(), mk_cfg(Protocol::Mesi), threads, d);
