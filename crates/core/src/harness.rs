@@ -756,15 +756,6 @@ impl System {
             .expect("deliver from empty channel")
             .resolve(&mut self.data);
         self.messages += 1;
-        if std::env::var_os("GW_TESTER_TRACE").is_some() {
-            eprintln!(
-                "deliver {:<12} {:?} -> {:?}  {:?}",
-                msg.payload.name(),
-                msg.src,
-                msg.dst,
-                msg.block
-            );
-        }
         match msg.dst {
             Endpoint::L1(core) => {
                 let outs = self.l1s[core]

@@ -130,6 +130,8 @@ pub struct ProtocolTester {
     sys: System,
     issued: usize,
     checks: usize,
+    /// `GW_TESTER_TRACE` was set: log every issued op and delivery.
+    trace: bool,
 }
 
 impl ProtocolTester {
@@ -140,6 +142,7 @@ impl ProtocolTester {
             sys: System::new(cfg.system()),
             issued: 0,
             checks: 0,
+            trace: std::env::var_os("GW_TESTER_TRACE").is_some(),
             cfg,
         }
     }
@@ -162,7 +165,7 @@ impl ProtocolTester {
         } else {
             Op::Store
         };
-        if std::env::var_os("GW_TESTER_TRACE").is_some() {
+        if self.trace {
             eprintln!("issue core {core} {op:?} on block {b}");
         }
         self.issued += 1;
@@ -178,6 +181,16 @@ impl ProtocolTester {
             return false;
         }
         let key = keys[self.rng.gen_range(0..keys.len())];
+        if self.trace {
+            let m = self.sys.peek_channel(key).expect("channel is non-empty");
+            eprintln!(
+                "deliver {:<12} {:?} -> {:?}  {:?}",
+                m.payload.name(),
+                m.src,
+                m.dst,
+                m.block
+            );
+        }
         if let Err(v) = self.sys.deliver(key) {
             panic!("invariant violated delivering on channel {key:?}: {v}");
         }

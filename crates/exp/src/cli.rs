@@ -5,8 +5,7 @@
 //! gwbench run <experiment>... [options]
 //! gwbench repro-all [options]
 //! gwbench faults [options]
-//! gwbench perf [--smoke] [--out FILE] [--baseline FILE] [--reps N] [--quiet]
-//! gwbench profile [--smoke] [--out FILE] [--overhead-check] [--phases [FILE]] [--quiet]
+//! gwbench profile [--smoke] [--out FILE] [--quiet]
 //! gwbench sim <app> [sim options]
 //! gwbench clean
 //!
@@ -19,18 +18,14 @@
 //!   --quiet           do not print reports to stdout (files only)
 //! ```
 //!
-//! `perf` times the engine-kernel microbenchmarks (see [`crate::perf`])
-//! and writes `BENCH_kernel.json`; with `--baseline` it exits 4 on a >2x
-//! throughput regression against the committed file.
-//!
-//! `profile` runs representative kernels with the engine's cycle-
+//! `profile` runs the simulator's kernels with the engine's cycle-
 //! attribution profiler on (see [`crate::profile`]), prints each
-//! kernel's ranked per-phase table, and writes the JSON artifact; it
-//! exits 4 if any kernel's per-phase cycles fail to reconcile with its
-//! simulated cycle count; with `--overhead-check`, if profiling
-//! perturbs the simulation's stats; and with `--phases`, if any phase's
-//! cycle share exceeds its bound in the committed snapshot
-//! (`PROFILE_phases.json`; regen with `UPDATE_GOLDEN=1`).
+//! kernel's ranked per-phase table with its ops and wall time, and
+//! writes the JSON artifact; it exits 4 if any kernel's per-phase
+//! cycles fail to reconcile with its simulated cycle count, or if
+//! profiling perturbs the simulation's stats. The smoke kernels' work
+//! counters are pinned exactly by the tier-1 golden
+//! `crates/exp/tests/golden/profile.smoke.txt`.
 //!
 //! `sim` runs one application on a configurable machine and prints the
 //! full report, or with `--compare` the baseline/Ghostwriter pair and
@@ -88,8 +83,7 @@ fn usage() -> String {
     let mut s = String::from(
         "usage: gwbench <list|run <experiment>...|repro-all|faults|clean>\n\
          \x20      [--jobs N] [--no-cache] [--smoke] [--expect-cached] [--quiet]\n\
-         \x20      gwbench perf [--smoke] [--out FILE] [--baseline FILE] [--reps N] [--quiet]\n\
-         \x20      gwbench profile [--smoke] [--out FILE] [--overhead-check] [--phases [FILE]] [--quiet]\n\
+         \x20      gwbench profile [--smoke] [--out FILE] [--quiet]\n\
          \x20      gwbench sim <app> [sim options]\n",
     );
     s.push_str("\nexperiments:\n");
@@ -478,82 +472,29 @@ pub fn main_with_args(args: Vec<String>) -> i32 {
                 }
             }
         }
-        "perf" => {
+        "profile" => {
             let mut smoke = false;
             let mut quiet = false;
-            let mut out = crate::perf::DEFAULT_OUT.to_string();
-            let mut baseline: Option<String> = None;
-            let mut reps = 1u32;
+            let mut out = crate::profile::DEFAULT_OUT.to_string();
             let mut it = rest.iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--smoke" => smoke = true,
                     "--quiet" => quiet = true,
-                    "--out" => match it.next() {
-                        Some(v) => out = v.clone(),
-                        None => {
-                            eprintln!("gwbench: --out needs a value");
+                    "--out" => match flag_value(&mut it, a) {
+                        Ok(v) => out = v,
+                        Err(e) => {
+                            eprintln!("gwbench: {e}");
                             return 2;
                         }
                     },
-                    "--baseline" => match it.next() {
-                        Some(v) => baseline = Some(v.clone()),
-                        None => {
-                            eprintln!("gwbench: --baseline needs a value");
-                            return 2;
-                        }
-                    },
-                    "--reps" => match it.next().and_then(|v| v.parse().ok()) {
-                        Some(v) => reps = v,
-                        None => {
-                            eprintln!("gwbench: --reps needs a positive integer");
-                            return 2;
-                        }
-                    },
-                    flag => {
-                        eprintln!("gwbench: unknown perf flag `{flag}`\n\n{}", usage());
-                        return 2;
-                    }
-                }
-            }
-            crate::perf::main_perf(smoke, &out, baseline.as_deref(), quiet, reps)
-        }
-        "profile" => {
-            let mut smoke = false;
-            let mut quiet = false;
-            let mut check_overhead = false;
-            let mut out = crate::profile::DEFAULT_OUT.to_string();
-            let mut phases: Option<String> = None;
-            let mut it = rest.iter().peekable();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--smoke" => smoke = true,
-                    "--quiet" => quiet = true,
-                    "--overhead-check" => check_overhead = true,
-                    "--out" => match it.next() {
-                        Some(v) => out = v.clone(),
-                        None => {
-                            eprintln!("gwbench: --out needs a value");
-                            return 2;
-                        }
-                    },
-                    // `--phases [FILE]`: assert cycle shares against the
-                    // committed snapshot (default PROFILE_phases.json);
-                    // with UPDATE_GOLDEN=1 the snapshot is regenerated
-                    // instead.
-                    "--phases" => {
-                        phases = Some(match it.peek() {
-                            Some(v) if !v.starts_with('-') => it.next().unwrap().clone(),
-                            _ => crate::profile::DEFAULT_PHASES.to_string(),
-                        });
-                    }
                     flag => {
                         eprintln!("gwbench: unknown profile flag `{flag}`\n\n{}", usage());
                         return 2;
                     }
                 }
             }
-            crate::profile::main_profile(smoke, &out, quiet, check_overhead, phases.as_deref())
+            crate::profile::main_profile(smoke, &out, quiet)
         }
         "sim" => match parse_sim(rest) {
             Ok(o) => {

@@ -16,18 +16,16 @@
 //! - [`experiments`] — the registry of all 22 reports with pure
 //!   renderers over cached records.
 //! - [`cli`] — the `gwbench` command line (list / run / repro-all /
-//!   faults / perf / profile / sim / clean).
-//! - [`perf`] — the perf-regression kernel harness behind `gwbench perf`
-//!   (`BENCH_kernel.json`).
-//! - [`profile`] — the cycle-attribution reporter behind
-//!   `gwbench profile` (`results/profile.json`).
+//!   faults / profile / sim / clean).
+//! - [`profile`] — the kernel harness behind `gwbench profile`: cycle
+//!   attribution and exact work counters (`results/profile.json`,
+//!   gated by `tests/golden/profile.smoke.txt`).
 
 pub mod cache;
 pub mod cli;
 pub mod engine;
 pub mod experiments;
 pub mod fingerprint;
-pub mod perf;
 pub mod pool;
 pub mod profile;
 pub mod record;

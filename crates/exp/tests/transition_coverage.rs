@@ -1,6 +1,9 @@
 //! Golden transition-coverage snapshot: which named rows of the shared
 //! transition table (`crates/core/src/proto.rs`) the two tier-1 drivers
-//! actually exercise.
+//! actually exercise. This is also the tier-1 clean-sweep gate: each
+//! sweep below must find no violation (the counterexample is rendered
+//! on failure) and must be exhaustive, so every cell is searched once
+//! per `cargo test` and yields both its verdict and its coverage.
 //!
 //! * **sweep** — the union of the tier-1 `gwcheck` sweeps
 //!   (MESI / MSI / Ghostwriter / GW-over-MOESI at 2 cores, 1 block,
@@ -40,9 +43,20 @@ fn tier1_sweep_coverage() -> Coverage {
         (ProtocolKind::Mesif, 2, false),
     ] {
         let report = sweep(kind, 2, blocks, 2, gi, None);
+        if let Some((program, cex)) = &report.counterexample {
+            panic!(
+                "{kind:?} 2c/{blocks}b gi={gi} sweep found a violation\nprogram: {program:?}\n{}",
+                cex.render(2)
+            );
+        }
         assert!(
-            report.counterexample.is_none() && !report.truncated,
-            "{kind:?} tier-1 sweep must be clean and exhaustive"
+            !report.truncated,
+            "{kind:?} 2c/{blocks}b gi={gi} sweep was truncated, not exhaustive"
+        );
+        assert!(report.programs > 0 && report.states > report.programs);
+        assert!(
+            !report.coverage.is_empty(),
+            "{kind:?} 2c/{blocks}b gi={gi} sweep recorded no transition coverage"
         );
         cov.merge(&report.coverage);
     }
