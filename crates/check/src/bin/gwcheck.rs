@@ -155,10 +155,7 @@ fn parse_args() -> Result<Args, String> {
             "--fault-budget" => {
                 args.fault_budget = value("--fault-budget")?
                     .parse()
-                    .map_err(|e| format!("--fault-budget: {e}"))?;
-                if args.fault_budget > 15 {
-                    return Err("--fault-budget must be <= 15".into());
-                }
+                    .map_err(|e| format!("--fault-budget: {e}"))?
             }
             "--jobs" => {
                 args.jobs = value("--jobs")?
@@ -189,9 +186,11 @@ fn parse_args() -> Result<Args, String> {
     if args.protocols.is_empty() {
         args.protocols = ProtocolKind::ALL.to_vec();
     }
-    if args.cores < 1 || args.blocks < 1 || args.ops < 1 {
-        return Err("--cores, --blocks and --ops must be >= 1".into());
-    }
+    // The rules hold for every cell alike (none depends on the
+    // protocol or the GI-timeout switch).
+    spec_for(&args, args.protocols[0], args.ops, false)
+        .check()
+        .map_err(|e| format!("invalid sweep: {e}"))?;
     Ok(args)
 }
 

@@ -2,40 +2,39 @@
 //!
 //! Where the random walker in `ghostwriter_core::tester` samples one
 //! message interleaving per seed, this checker enumerates *every*
-//! interleaving of a small configuration — 2–3 cores, 1–2 blocks,
-//! bounded per-core access programs — subject only to the per-(src, dst)
-//! FIFO ordering the real NoC guarantees. It drives the *real*
-//! [`ghostwriter_core::l1::L1Cache`] and [`ghostwriter_core::dir::DirBank`]
-//! controllers through the shared [`ghostwriter_core::harness::System`];
-//! there is no re-specification of the protocol that could drift from
-//! the implementation.
+//! interleaving of a small configuration — 2–4 cores, 1–2 blocks,
+//! a bounded number of accesses per core — subject only to the
+//! per-(src, dst) FIFO ordering the real NoC guarantees. It drives the
+//! *real* [`ghostwriter_core::l1::L1Cache`] and
+//! [`ghostwriter_core::dir::DirBank`] controllers through the shared
+//! [`ghostwriter_core::harness::System`]; there is no re-specification
+//! of the protocol that could drift from the implementation.
 //!
-//! The search is a depth-first enumeration with visited-set pruning on a
-//! canonical state fingerprint (L1 states + directory entries + in-flight
-//! message channels + oracle bookkeeping; see [`System::fingerprint`]).
-//! Every transition re-checks the any-time invariants (SWMR, Ghostwriter
-//! containment, the value oracle, the scribe error bound); every
-//! terminal state is either quiescent — and then checked against the
-//! directory-accuracy and data-value invariants — or reported as a
-//! deadlock.
+//! The search ([`shard`]) runs over one program-free space: an issue
+//! action picks any step of the access alphabet, budgeted per core, so
+//! every access program and every interleaving of it is a path. It is
+//! explored depth-first with visited-set pruning on a canonical state
+//! fingerprint (L1 states + directory entries + in-flight message
+//! channels + oracle bookkeeping; see
+//! [`ghostwriter_core::harness::System::fingerprint`]) plus the issue
+//! budgets left. Every transition re-checks the any-time invariants
+//! (SWMR, Ghostwriter containment, the value oracle, the scribe error
+//! bound); every terminal state is either quiescent — and then checked
+//! against the directory-accuracy and data-value invariants — or
+//! reported as a deadlock.
 //!
 //! On violation the checker emits a [`Counterexample`]: the action trace
-//! from the initial state, greedily shrunk ([`Checker::shrink`]) and
-//! deterministically replayable ([`Checker::replay`]) so a failure
-//! reproduces as a plain `#[test]`. [`Mutation`] fault injection
-//! (dropping or forging protocol messages in the harness network)
-//! exists to prove the checker can actually catch protocol bugs.
+//! from the initial state, shrunk ([`shard::Space::shrink`]) and
+//! deterministically replayable ([`shard::Space::replay`],
+//! `gwcheck --replay`) so a failure reproduces as a plain `#[test]`.
+//! [`Mutation`] fault injection (dropping or forging protocol messages
+//! in the harness network) exists to prove the checker can actually
+//! catch protocol bugs.
 
-use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use ghostwriter_core::harness::{Op, System, SystemConfig, Violation};
+use ghostwriter_core::harness::{Op, SystemConfig, Violation};
 use ghostwriter_core::l1::GwParams;
-use ghostwriter_core::msg::{Msg, Payload, PayloadCtl, WireTag};
 use ghostwriter_core::proto::find_row;
-use ghostwriter_core::{
-    parse_protocol, BaseProtocol, Coverage, GiStorePolicy, RecoveryParams, ScribePolicy,
-};
+use ghostwriter_core::{parse_protocol, BaseProtocol, GiStorePolicy, ScribePolicy};
 
 pub mod shard;
 pub mod trace;
@@ -51,16 +50,12 @@ pub struct Step {
     pub op: Op,
 }
 
-/// A bounded access program: one step sequence per core.
-pub type Program = Vec<Vec<Step>>;
-
 /// One scheduling decision of the checker — the alphabet whose
 /// interleavings the search enumerates.
 ///
 /// `Issue` carries the step it issues, so a trace alone determines the
-/// access program it exercises: counterexamples from the sharded
-/// unified search ([`shard`]) and from per-program [`Checker`] runs
-/// share one format, one renderer and one replay path.
+/// access program it exercises: a counterexample replays
+/// ([`shard::Space::replay`]) from its trace and the sweep spec alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Action {
     /// `core` issues `step` (enabled while the core is idle and has
@@ -179,94 +174,6 @@ impl std::fmt::Display for Mutation {
     }
 }
 
-/// Delivers the head of `key`, applying `mutation`'s network-layer
-/// corruption when it matches. The one implementation shared by the
-/// per-program [`Checker`] and the sharded unified search, so a
-/// mutation means exactly the same fault in both engines.
-pub(crate) fn deliver_mutated(
-    sys: &mut System,
-    mutation: Option<Mutation>,
-    key: (usize, usize),
-) -> Result<(), Violation> {
-    match (mutation, sys.peek_channel(key)) {
-        (Some(Mutation::SkipInvalidation), Some(m)) if matches!(m.payload, PayloadCtl::Inv) => {
-            // The L1 never sees the INV, but the directory gets the
-            // ack it is waiting for.
-            let lost = sys.drop_message(key).expect("peeked message present");
-            sys.inject(Msg {
-                src: lost.dst,
-                dst: lost.src,
-                block: lost.block,
-                payload: Payload::InvAck,
-                tag: WireTag::default(),
-            });
-            Ok(())
-        }
-        (Some(Mutation::DropInvAck), Some(m)) if matches!(m.payload, PayloadCtl::InvAck) => {
-            sys.drop_message(key).expect("peeked message present");
-            Ok(())
-        }
-        _ => sys.deliver(key),
-    }
-}
-
-/// Appends the bounded-fault actions enabled in `sys`: drop/duplicate
-/// on every faultable channel head and corrupt on every corruptible
-/// head while `budget_left`, plus a retry wherever a core is wedged
-/// (outstanding request, nothing in flight for it — recovery is the
-/// only way forward, so retries are never budget-gated). Shared by the
-/// per-program [`Checker`] and the sharded unified search so a fault
-/// means exactly the same thing in both engines.
-pub(crate) fn fault_actions(sys: &System, cores: usize, budget_left: bool, acts: &mut Vec<Action>) {
-    if budget_left {
-        for (src, dst) in sys.channels() {
-            if sys.head_faultable((src, dst)) {
-                acts.push(Action::Drop { src, dst });
-                acts.push(Action::Duplicate { src, dst });
-            }
-            if sys.head_corruptible((src, dst)) {
-                acts.push(Action::Corrupt { src, dst });
-            }
-        }
-    }
-    for core in 0..cores {
-        if sys.needs_retry(core) {
-            acts.push(Action::Retry { core });
-        }
-    }
-}
-
-/// Applies one bounded-fault action (the caller accounts the budget).
-pub(crate) fn apply_fault(sys: &mut System, action: Action) -> Result<(), Violation> {
-    match action {
-        Action::Drop { src, dst } => {
-            sys.drop_message((src, dst));
-            Ok(())
-        }
-        Action::Duplicate { src, dst } => {
-            sys.duplicate_head((src, dst));
-            Ok(())
-        }
-        Action::Corrupt { src, dst } => {
-            sys.taint_head((src, dst));
-            Ok(())
-        }
-        Action::Retry { core } => sys.retry(core).map(|_| ()),
-        _ => unreachable!("not a fault action"),
-    }
-}
-
-/// The recovery parameters a fault budget of `k` turns on: the checker
-/// profile, with the retry budget widened to cover `k` (every dropped
-/// message may cost one retry, and the exhaustive sweep must not trip
-/// `retry_exhausted` spuriously).
-pub(crate) fn recovery_for_budget(k: usize) -> RecoveryParams {
-    RecoveryParams {
-        max_retries: (k as u32).max(RecoveryParams::checker().max_retries),
-        ..RecoveryParams::checker()
-    }
-}
-
 /// How an explored trace failed.
 #[derive(Clone, Debug)]
 pub enum Failure {
@@ -330,293 +237,9 @@ impl Counterexample {
     }
 }
 
-/// Outcome of a bounded search.
-#[derive(Debug)]
-pub struct CheckReport {
-    /// Distinct states visited (after fingerprint dedup).
-    pub states: usize,
-    /// Transitions applied (including ones into already-visited states).
-    pub transitions: usize,
-    /// Deepest trace explored.
-    pub max_depth: usize,
-    /// True if the depth or state bound cut the search short — the space
-    /// was *not* exhausted.
-    pub truncated: bool,
-    /// Union of the transition-table rows exercised anywhere in the
-    /// explored state space (union over all DFS branches; counts are an
-    /// over-approximation, zero/non-zero is exact).
-    pub coverage: Coverage,
-    /// First failure found, already shrunk, if any.
-    pub counterexample: Option<Counterexample>,
-}
-
-/// The bounded model checker: a system shape, a fixed access program,
-/// optional fault injection, and search bounds.
-#[derive(Clone, Debug)]
-pub struct Checker {
-    pub sys: SystemConfig,
-    pub program: Program,
-    pub mutation: Option<Mutation>,
-    /// Bounded-fault mode: up to this many message faults (drop,
-    /// duplicate, corrupt) become explicit schedule actions, and the
-    /// recovery rows ([`RecoveryParams::checker`], with the retry
-    /// budget widened to cover the fault budget) are enabled so the
-    /// search proves every ≤k-fault trace still completes. `0` (the
-    /// default) leaves the space and the fingerprints exactly as
-    /// before.
-    pub fault_budget: usize,
-    /// Also interleave GI-timeout sweeps into the schedule (only does
-    /// anything in Ghostwriter configurations).
-    pub explore_gi_timeouts: bool,
-    /// Bound on trace length.
-    pub max_depth: usize,
-    /// Bound on distinct visited states.
-    pub max_states: usize,
-}
-
-impl Checker {
-    /// A checker over `sys` running `program`, with defaults that fully
-    /// exhaust small configurations.
-    pub fn new(sys: SystemConfig, program: Program) -> Self {
-        assert_eq!(program.len(), sys.cores, "one program per core");
-        Self {
-            sys,
-            program,
-            mutation: None,
-            fault_budget: 0,
-            explore_gi_timeouts: false,
-            max_depth: 256,
-            max_states: 1_000_000,
-        }
-    }
-
-    fn enabled(&self, sys: &System, pcs: &[usize], used: usize) -> Vec<Action> {
-        let mut acts = Vec::new();
-        for (core, &pc) in pcs.iter().enumerate() {
-            if pc < self.program[core].len() && sys.core_idle(core) {
-                acts.push(Action::Issue {
-                    core,
-                    step: self.program[core][pc],
-                });
-            }
-        }
-        for (src, dst) in sys.channels() {
-            acts.push(Action::Deliver { src, dst });
-        }
-        if self.fault_budget > 0 {
-            fault_actions(sys, self.sys.cores, used < self.fault_budget, &mut acts);
-        }
-        if self.explore_gi_timeouts {
-            for core in 0..self.sys.cores {
-                if sys.has_gi(core) {
-                    acts.push(Action::GiTimeout { core });
-                }
-            }
-        }
-        acts
-    }
-
-    /// Applies `action` (which must be enabled), running the per-step
-    /// invariant checks and converting controller panics into
-    /// [`Failure::Panic`].
-    fn apply(
-        &self,
-        sys: &mut System,
-        pcs: &mut [usize],
-        used: &mut usize,
-        action: Action,
-    ) -> Result<(), Failure> {
-        let step_result = catch_unwind(AssertUnwindSafe(|| match action {
-            Action::Issue { core, step } => {
-                pcs[core] += 1;
-                sys.issue(core, step.block, step.op)
-            }
-            Action::Deliver { src, dst } => deliver_mutated(sys, self.mutation, (src, dst)),
-            Action::GiTimeout { core } => sys.gi_timeout(core),
-            Action::Drop { .. } | Action::Duplicate { .. } | Action::Corrupt { .. } => {
-                *used += 1;
-                apply_fault(sys, action)
-            }
-            Action::Retry { .. } => apply_fault(sys, action),
-        }));
-        match step_result {
-            Ok(Ok(())) => sys.check_swmr().map_err(Failure::Invariant),
-            Ok(Err(v)) => Err(Failure::Invariant(v)),
-            Err(payload) => Err(Failure::Panic(panic_text(payload))),
-        }
-    }
-
-    /// What a terminal (no enabled actions) state means: a completed
-    /// quiescent run is checked against the quiescence invariants;
-    /// anything else is blocked forever.
-    fn terminal_failure(&self, sys: &System, pcs: &[usize]) -> Option<Failure> {
-        let done = pcs
-            .iter()
-            .enumerate()
-            .all(|(c, &pc)| pc == self.program[c].len());
-        if done && sys.quiescent() {
-            sys.check_quiescent().err().map(Failure::Invariant)
-        } else {
-            Some(Failure::Deadlock {
-                busy_cores: sys.busy_cores(),
-            })
-        }
-    }
-
-    /// The initial system, with any [`Mutation::DeleteRow`] applied at
-    /// construction (the row is deleted from the shared table, so both
-    /// the search and every shrinking replay see the same mutant).
-    fn initial_system(&self) -> System {
-        let mut cfg = self.sys;
-        if let Some(Mutation::DeleteRow(name)) = self.mutation {
-            cfg.disabled_row = Some(name);
-        }
-        if self.fault_budget > 0 {
-            cfg.recovery = Some(recovery_for_budget(self.fault_budget));
-        }
-        System::new(cfg)
-    }
-
-    /// Runs the bounded exhaustive search. Stops at the first failure,
-    /// which is returned shrunk.
-    pub fn check(&self) -> CheckReport {
-        let mut report = CheckReport {
-            states: 0,
-            transitions: 0,
-            max_depth: 0,
-            truncated: false,
-            coverage: Coverage::default(),
-            counterexample: None,
-        };
-        let sys = self.initial_system();
-        let pcs = vec![0usize; self.sys.cores];
-        let mut visited: HashSet<(u128, Vec<usize>, usize)> = HashSet::new();
-        visited.insert((sys.fingerprint(), pcs.clone(), 0));
-        report.states = 1;
-        let mut path = Vec::new();
-        let found = self.dfs(&sys, &pcs, 0, &mut visited, &mut path, &mut report);
-        report.counterexample = found.map(|cex| self.shrink(cex));
-        report
-    }
-
-    fn dfs(
-        &self,
-        sys: &System,
-        pcs: &[usize],
-        used: usize,
-        visited: &mut HashSet<(u128, Vec<usize>, usize)>,
-        path: &mut Vec<Action>,
-        report: &mut CheckReport,
-    ) -> Option<Counterexample> {
-        report.max_depth = report.max_depth.max(path.len());
-        let actions = self.enabled(sys, pcs, used);
-        if actions.is_empty() {
-            return self
-                .terminal_failure(sys, pcs)
-                .map(|failure| Counterexample::new(path.clone(), failure));
-        }
-        if path.len() >= self.max_depth || report.states >= self.max_states {
-            report.truncated = true;
-            return None;
-        }
-        for action in actions {
-            let mut next = sys.clone();
-            let mut next_pcs = pcs.to_vec();
-            let mut next_used = used;
-            path.push(action);
-            report.transitions += 1;
-            let applied = self.apply(&mut next, &mut next_pcs, &mut next_used, action);
-            report.coverage.merge(&next.stats().coverage);
-            match applied {
-                Err(failure) => {
-                    let cex = Counterexample::new(path.clone(), failure);
-                    path.pop();
-                    return Some(cex);
-                }
-                Ok(()) => {
-                    if visited.insert((next.fingerprint(), next_pcs.clone(), next_used)) {
-                        report.states += 1;
-                        if let Some(cex) =
-                            self.dfs(&next, &next_pcs, next_used, visited, path, report)
-                        {
-                            path.pop();
-                            return Some(cex);
-                        }
-                    }
-                }
-            }
-            path.pop();
-        }
-        None
-    }
-
-    /// Deterministically replays `trace` from the initial state through
-    /// the same controllers. Returns the failure it reproduces, or
-    /// `None` if the trace is clean (or contains an action that is not
-    /// enabled at its position — relevant while shrinking).
-    pub fn replay(&self, trace: &[Action]) -> Option<Failure> {
-        let mut sys = self.initial_system();
-        let mut pcs = vec![0usize; self.sys.cores];
-        let mut used = 0usize;
-        for &action in trace {
-            if !self.enabled(&sys, &pcs, used).contains(&action) {
-                return None;
-            }
-            if let Err(failure) = self.apply(&mut sys, &mut pcs, &mut used, action) {
-                return Some(failure);
-            }
-        }
-        // A trace may also fail by *ending* in a bad terminal state
-        // (deadlocks are a property of the final state, not of any
-        // single action).
-        if self.enabled(&sys, &pcs, used).is_empty() {
-            self.terminal_failure(&sys, &pcs)
-        } else {
-            None
-        }
-    }
-
-    /// Greedy delta-debugging: repeatedly drop any single action whose
-    /// removal still reproduces *a* failure, until no single removal
-    /// does. The result replays deterministically.
-    pub fn shrink(&self, cex: Counterexample) -> Counterexample {
-        let mut trace = cex.trace;
-        let mut failure = cex.failure;
-        loop {
-            let mut improved = false;
-            let mut i = 0;
-            while i < trace.len() {
-                let mut candidate = trace.clone();
-                candidate.remove(i);
-                if let Some(f) = self.replay(&candidate) {
-                    trace = candidate;
-                    failure = f;
-                    improved = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-        Counterexample::new(trace, failure)
-    }
-}
-
-pub(crate) fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 // ---------------------------------------------------------------------
-// Configuration + program enumeration helpers (shared by tests and the
-// gwcheck CLI).
+// Configuration helpers (shared by the search, tests and the gwcheck
+// CLI).
 // ---------------------------------------------------------------------
 
 /// Which protocol family a sweep exercises.
@@ -733,86 +356,9 @@ pub fn step_alphabet(kind: ProtocolKind, cores: usize, blocks: usize) -> Vec<Ste
     steps
 }
 
-/// Every program assigning each of `cores` cores a sequence of
-/// `len` steps from `alphabet` — the |alphabet|^(cores·len) cartesian
-/// product, enumerated in mixed-radix order.
-pub fn enumerate_programs(alphabet: &[Step], cores: usize, len: usize) -> Vec<Program> {
-    let digits = cores * len;
-    let radix = alphabet.len();
-    let total = radix.checked_pow(digits as u32).expect("sweep too large");
-    (0..total)
-        .map(|mut idx| {
-            (0..cores)
-                .map(|_| {
-                    (0..len)
-                        .map(|_| {
-                            let s = alphabet[idx % radix];
-                            idx /= radix;
-                            s
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Outcome of sweeping a whole program family.
-#[derive(Debug, Default)]
-pub struct SweepReport {
-    pub programs: usize,
-    pub states: usize,
-    pub transitions: usize,
-    pub truncated: bool,
-    /// Union of the per-program [`CheckReport::coverage`] unions.
-    pub coverage: Coverage,
-    pub counterexample: Option<(Program, Counterexample)>,
-}
-
-/// Exhaustively checks every interleaving of every program of
-/// `ops_per_core` steps per core. Stops at the first failure.
-pub fn sweep(
-    kind: ProtocolKind,
-    cores: usize,
-    blocks: usize,
-    ops_per_core: usize,
-    explore_gi_timeouts: bool,
-    mutation: Option<Mutation>,
-) -> SweepReport {
-    let cfg = check_config(kind, cores, blocks);
-    let alphabet = step_alphabet(kind, cores, blocks);
-    let mut report = SweepReport::default();
-    for program in enumerate_programs(&alphabet, cores, ops_per_core) {
-        let mut checker = Checker::new(cfg, program.clone());
-        checker.explore_gi_timeouts = explore_gi_timeouts;
-        checker.mutation = mutation;
-        let r = checker.check();
-        report.programs += 1;
-        report.states += r.states;
-        report.transitions += r.transitions;
-        report.truncated |= r.truncated;
-        report.coverage.merge(&r.coverage);
-        if let Some(cex) = r.counterexample {
-            report.counterexample = Some((program, cex));
-            return report;
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn two_core_program(a: &[(usize, Op)], b: &[(usize, Op)]) -> Program {
-        let conv = |steps: &[(usize, Op)]| {
-            steps
-                .iter()
-                .map(|&(block, op)| Step { block, op })
-                .collect::<Vec<_>>()
-        };
-        vec![conv(a), conv(b)]
-    }
 
     #[test]
     fn protocol_kind_tokens_round_trip() {
@@ -832,113 +378,5 @@ mod tests {
             assert_eq!(ProtocolKind::parse(token), None, "{token}");
         }
         assert_eq!(ProtocolKind::parse("frobnicate"), None);
-    }
-
-    #[test]
-    fn single_store_explores_and_passes() {
-        let cfg = check_config(ProtocolKind::Mesi, 2, 1);
-        let program = two_core_program(&[(0, Op::Store)], &[]);
-        let report = Checker::new(cfg, program).check();
-        assert!(report.counterexample.is_none());
-        assert!(!report.truncated);
-        assert!(report.states > 1);
-    }
-
-    #[test]
-    fn conflicting_writers_explore_cleanly() {
-        // Both cores store the same block: the full upgrade/invalidate
-        // race space must stay invariant-clean.
-        let cfg = check_config(ProtocolKind::Mesi, 2, 1);
-        let program = two_core_program(
-            &[(0, Op::Store), (0, Op::Store)],
-            &[(0, Op::Store), (0, Op::Store)],
-        );
-        let report = Checker::new(cfg, program).check();
-        assert!(
-            report.counterexample.is_none(),
-            "{}",
-            report.counterexample.unwrap().render(2)
-        );
-        assert!(!report.truncated);
-        // The race has genuinely many interleavings.
-        assert!(report.states > 100, "only {} states", report.states);
-    }
-
-    #[test]
-    fn replay_reproduces_search_failures_deterministically() {
-        // Store-then-load demotes the owner to a sharer; the second
-        // store's UPGRADE generates the INV the mutation corrupts.
-        let cfg = check_config(ProtocolKind::Mesi, 2, 1);
-        let program = two_core_program(
-            &[(0, Op::Load { writer: 1 })],
-            &[(0, Op::Store), (0, Op::Store)],
-        );
-        let mut checker = Checker::new(cfg, program);
-        checker.mutation = Some(Mutation::SkipInvalidation);
-        let report = checker.check();
-        let cex = report.counterexample.expect("mutation must be caught");
-        for _ in 0..3 {
-            let f = checker.replay(&cex.trace).expect("replay reproduces");
-            assert!(
-                matches!(f, Failure::Invariant(_) | Failure::Deadlock { .. }),
-                "unexpected failure class: {f}"
-            );
-        }
-    }
-
-    #[test]
-    fn skipped_invalidation_caught_and_shrunk_short() {
-        // The acceptance-criteria test: a seeded skipped-invalidation
-        // bug is found by exhaustive search and the shrunk
-        // counterexample replays in at most 20 steps.
-        let cfg = check_config(ProtocolKind::Mesi, 2, 1);
-        let program = two_core_program(
-            &[(0, Op::Load { writer: 1 })],
-            &[(0, Op::Store), (0, Op::Store)],
-        );
-        let mut checker = Checker::new(cfg, program);
-        checker.mutation = Some(Mutation::SkipInvalidation);
-        let report = checker.check();
-        let cex = report
-            .counterexample
-            .expect("skipped invalidation must violate an invariant");
-        assert!(
-            cex.trace.len() <= 20,
-            "shrunk counterexample too long:\n{}",
-            cex.render(2)
-        );
-        assert!(
-            checker.replay(&cex.trace).is_some(),
-            "shrunk trace must still reproduce"
-        );
-    }
-
-    #[test]
-    fn dropped_inv_ack_deadlocks() {
-        let cfg = check_config(ProtocolKind::Mesi, 2, 1);
-        let program = two_core_program(
-            &[(0, Op::Load { writer: 1 })],
-            &[(0, Op::Store), (0, Op::Store)],
-        );
-        let mut checker = Checker::new(cfg, program);
-        checker.mutation = Some(Mutation::DropInvAck);
-        let report = checker.check();
-        let cex = report.counterexample.expect("lost ack must deadlock");
-        assert!(
-            matches!(cex.failure, Failure::Deadlock { .. }),
-            "expected deadlock, got: {}",
-            cex.failure
-        );
-        assert!(cex.trace.len() <= 20, "{}", cex.render(2));
-    }
-
-    #[test]
-    fn program_enumeration_is_the_full_product() {
-        let alphabet = step_alphabet(ProtocolKind::Mesi, 2, 1);
-        assert_eq!(alphabet.len(), 3); // Store, Load{0}, Load{1}
-        let programs = enumerate_programs(&alphabet, 2, 2);
-        assert_eq!(programs.len(), 81); // 3^(2*2)
-        let unique: std::collections::HashSet<_> = programs.iter().collect();
-        assert_eq!(unique.len(), 81);
     }
 }

@@ -1,18 +1,16 @@
-//! Sharded, parallel, cached sweeps: the unified search engine.
+//! Sharded, parallel, cached sweeps: the checker's search engine.
 //!
-//! The per-program [`crate::sweep`] enumerates |alphabet|^(cores·ops)
-//! programs and runs a fresh DFS for each — at 3 cores / 2 blocks that
-//! is 262 144 MESI searches which mostly re-explore each other's
-//! prefixes. This module replaces the outer program loop with one
-//! *unified* search: [`Action::Issue`] chooses any alphabet step at
-//! issue time (budgeted to `ops` steps per core), so a search state is
-//! `(System fingerprint, per-core remaining budget)` and the visited
-//! set collapses the cross-program prefix sharing into a single
-//! deduplicated graph. The union of behaviors is identical — every
-//! (program, interleaving) path of the per-program sweep is a path here
-//! and vice versa (asserted row-for-row by the differential tests in
-//! `tests/sweeps.rs`) — but the state count drops by orders of
-//! magnitude.
+//! The search is *unified* over access programs: [`Action::Issue`]
+//! chooses any alphabet step at issue time (budgeted to `ops` steps per
+//! core), so a search state is `(System fingerprint, per-core remaining
+//! budget)` and the visited set collapses the prefixes that programs
+//! share into a single deduplicated graph. Every (program,
+//! interleaving) path of the |alphabet|^(cores·ops) program family is a
+//! path here and vice versa, at orders of magnitude fewer states than
+//! one search per program. The rows the tier-1 cells reach are pinned
+//! by `crates/exp/tests/golden/transition_coverage.txt`, a snapshot
+//! first taken with one search per program, so the two formulations
+//! agree row for row.
 //!
 //! On top of the unified space sits the sharding the work-stealing pool
 //! consumes:
@@ -49,16 +47,16 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ghostwriter_core::harness::{System, SystemConfig};
-use ghostwriter_core::{Coverage, Json};
+use ghostwriter_core::harness::{System, SystemConfig, Violation};
+use ghostwriter_core::msg::{Msg, Payload, PayloadCtl, WireTag};
+use ghostwriter_core::{Coverage, Json, RecoveryParams};
 use ghostwriter_exp::cache::{CacheRecord, Miss, ResultCache};
 use ghostwriter_exp::pool::map_parallel;
 use ghostwriter_exp::Fingerprint;
 
 use crate::trace::{decode_trace, encode_trace};
 use crate::{
-    check_config, deliver_mutated, panic_text, step_alphabet, Action, Counterexample, Failure,
-    Mutation, ProtocolKind, Step,
+    check_config, step_alphabet, Action, Counterexample, Failure, Mutation, ProtocolKind, Step,
 };
 
 /// Bumped whenever the unified search's semantics change (alphabet,
@@ -127,6 +125,29 @@ impl SweepSpec {
         }
     }
 
+    /// The rules a spec must keep for [`Space`] to search it, as a
+    /// value, for front ends that reject bad input instead of
+    /// panicking. The state key packs each core's remaining issue
+    /// budget, and the fault budget left, into 4-bit nibbles of a `u64`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.cores == 0 || self.blocks == 0 || self.ops == 0 {
+            return Err("cores, blocks and ops must be >= 1");
+        }
+        if self.cores > 16 {
+            return Err("cores must be <= 16");
+        }
+        if self.ops > 15 {
+            return Err("ops must be <= 15");
+        }
+        if self.fault_budget > 15 {
+            return Err("fault budget must be <= 15");
+        }
+        if self.fault_budget > 0 && self.cores == 16 {
+            return Err("a fault budget needs cores < 16");
+        }
+        Ok(())
+    }
+
     /// The system shape this spec checks.
     pub fn config(&self) -> SystemConfig {
         let mut cfg = check_config(self.kind, self.cores, self.blocks);
@@ -137,7 +158,7 @@ impl SweepSpec {
             cfg.disabled_row = Some(name);
         }
         if self.fault_budget > 0 {
-            cfg.recovery = Some(crate::recovery_for_budget(self.fault_budget));
+            cfg.recovery = Some(recovery_for_budget(self.fault_budget));
         }
         cfg
     }
@@ -256,7 +277,7 @@ pub struct Space {
 }
 
 /// A search state key: system fingerprint + packed per-core remaining
-/// budgets (4 bits per core — asserted in [`Space::new`]).
+/// budgets (4 bits per core — see [`SweepSpec::check`]).
 type StateKey = (u128, u64);
 
 fn pack_remaining(remaining: &[usize]) -> u64 {
@@ -283,16 +304,106 @@ fn trace_to(
     trace
 }
 
+/// Delivers the head of `key`, applying `mutation`'s network-layer
+/// corruption when it matches.
+fn deliver_mutated(
+    sys: &mut System,
+    mutation: Option<Mutation>,
+    key: (usize, usize),
+) -> Result<(), Violation> {
+    match (mutation, sys.peek_channel(key)) {
+        (Some(Mutation::SkipInvalidation), Some(m)) if matches!(m.payload, PayloadCtl::Inv) => {
+            // The L1 never sees the INV, but the directory gets the
+            // ack it is waiting for.
+            let lost = sys.drop_message(key).expect("peeked message present");
+            sys.inject(Msg {
+                src: lost.dst,
+                dst: lost.src,
+                block: lost.block,
+                payload: Payload::InvAck,
+                tag: WireTag::default(),
+            });
+            Ok(())
+        }
+        (Some(Mutation::DropInvAck), Some(m)) if matches!(m.payload, PayloadCtl::InvAck) => {
+            sys.drop_message(key).expect("peeked message present");
+            Ok(())
+        }
+        _ => sys.deliver(key),
+    }
+}
+
+/// Appends the bounded-fault actions enabled in `sys`: drop/duplicate
+/// on every faultable channel head and corrupt on every corruptible
+/// head while `budget_left`, plus a retry wherever a core is wedged
+/// (outstanding request, nothing in flight for it — recovery is the
+/// only way forward, so retries are never budget-gated).
+fn fault_actions(sys: &System, cores: usize, budget_left: bool, acts: &mut Vec<Action>) {
+    if budget_left {
+        for (src, dst) in sys.channels() {
+            if sys.head_faultable((src, dst)) {
+                acts.push(Action::Drop { src, dst });
+                acts.push(Action::Duplicate { src, dst });
+            }
+            if sys.head_corruptible((src, dst)) {
+                acts.push(Action::Corrupt { src, dst });
+            }
+        }
+    }
+    for core in 0..cores {
+        if sys.needs_retry(core) {
+            acts.push(Action::Retry { core });
+        }
+    }
+}
+
+/// Applies one bounded-fault action (the caller accounts the budget).
+fn apply_fault(sys: &mut System, action: Action) -> Result<(), Violation> {
+    match action {
+        Action::Drop { src, dst } => {
+            sys.drop_message((src, dst));
+            Ok(())
+        }
+        Action::Duplicate { src, dst } => {
+            sys.duplicate_head((src, dst));
+            Ok(())
+        }
+        Action::Corrupt { src, dst } => {
+            sys.taint_head((src, dst));
+            Ok(())
+        }
+        Action::Retry { core } => sys.retry(core).map(|_| ()),
+        _ => unreachable!("not a fault action"),
+    }
+}
+
+/// The recovery parameters a fault budget of `k` turns on: the checker
+/// profile, with the retry budget widened to cover `k` (every dropped
+/// message may cost one retry, and the exhaustive sweep must not trip
+/// `retry_exhausted` spuriously).
+fn recovery_for_budget(k: usize) -> RecoveryParams {
+    RecoveryParams {
+        max_retries: (k as u32).max(RecoveryParams::checker().max_retries),
+        ..RecoveryParams::checker()
+    }
+}
+
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_string()
+    }
+}
+
 impl Space {
+    /// Panics with [`SweepSpec::check`]'s message.
     pub fn new(spec: &SweepSpec) -> Self {
-        assert!(
-            spec.cores <= 16 && spec.ops <= 15,
-            "state key packs remaining budgets into 4 bits per core"
-        );
-        assert!(
-            spec.fault_budget == 0 || (spec.cores < 16 && spec.fault_budget <= 15),
-            "the fault budget packs into one extra state-key nibble"
-        );
+        if let Err(e) = spec.check() {
+            panic!("{e}");
+        }
         Self {
             cfg: spec.config(),
             alphabet: spec.alphabet(),
@@ -336,7 +447,7 @@ impl Space {
             acts.push(Action::Deliver { src, dst });
         }
         if self.spec.fault_budget > 0 {
-            crate::fault_actions(
+            fault_actions(
                 sys,
                 self.spec.cores,
                 remaining[self.spec.cores] > 0,
@@ -368,9 +479,9 @@ impl Space {
             Action::GiTimeout { core } => sys.gi_timeout(core),
             Action::Drop { .. } | Action::Duplicate { .. } | Action::Corrupt { .. } => {
                 remaining[self.spec.cores] -= 1;
-                crate::apply_fault(sys, action)
+                apply_fault(sys, action)
             }
-            Action::Retry { .. } => crate::apply_fault(sys, action),
+            Action::Retry { .. } => apply_fault(sys, action),
         }));
         match step_result {
             Ok(Ok(())) => sys.check_swmr().map_err(Failure::Invariant),
@@ -1053,6 +1164,21 @@ mod tests {
         }
         let distinct: std::collections::HashSet<_> = keys.iter().collect();
         assert_eq!(distinct.len(), keys.len(), "colliding keys: {keys:?}");
+    }
+
+    #[test]
+    fn spec_check_accepts_the_largest_packable_specs() {
+        assert_eq!(
+            SweepSpec::new(ProtocolKind::Mesi, 16, 1, 15).check(),
+            Ok(())
+        );
+        let faulty = SweepSpec {
+            fault_budget: 15,
+            ..SweepSpec::new(ProtocolKind::Mesi, 15, 1, 15)
+        };
+        assert_eq!(faulty.check(), Ok(()));
+        let zero_blocks = SweepSpec::new(ProtocolKind::Mesi, 2, 0, 1);
+        assert!(zero_blocks.check().is_err());
     }
 
     /// The payload/data split changed the *representation* of in-flight

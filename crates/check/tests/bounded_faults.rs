@@ -12,10 +12,7 @@
 //! fault dimension existed.
 
 use ghostwriter_check::shard::Space;
-use ghostwriter_check::{
-    check_config, run_sweep, Checker, Mutation, ProtocolKind, ShardOptions, Step, SweepSpec,
-};
-use ghostwriter_core::harness::Op;
+use ghostwriter_check::{run_sweep, Mutation, ProtocolKind, ShardOptions, SweepSpec};
 
 fn no_cache(jobs: usize) -> ShardOptions {
     ShardOptions {
@@ -124,30 +121,4 @@ fn fault_free_keys_and_commands_are_unchanged() {
     assert!(budgeted.key().ends_with("|faults=3"));
     assert!(budgeted.replay_command(&[]).contains("--fault-budget 3"));
     assert!(budgeted.label().ends_with("+faults(3)"));
-}
-
-#[test]
-fn per_program_checker_supports_fault_budgets_too() {
-    // The per-program Checker shares the fault actions with the sharded
-    // sweep: a single-store program under one fault must explore and
-    // pass, and the fault actions must show up in its transition count.
-    let cfg = check_config(ProtocolKind::Mesi, 2, 1);
-    let program = vec![
-        vec![Step {
-            block: 0,
-            op: Op::Store,
-        }],
-        vec![],
-    ];
-    let mut checker = Checker::new(cfg, program.clone());
-    let clean = checker.check();
-    assert!(clean.counterexample.is_none());
-
-    checker.fault_budget = 1;
-    let faulty = checker.check();
-    if let Some(cex) = &faulty.counterexample {
-        panic!("recovery hole:\n{}", cex.render(2));
-    }
-    assert!(!faulty.truncated);
-    assert!(faulty.states > clean.states);
 }

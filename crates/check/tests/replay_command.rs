@@ -2,6 +2,8 @@
 //! (ISSUE PR 6): this suite extracts the `replay: gwcheck …` line from
 //! `Counterexample::describe`, runs the actual `gwcheck` binary with
 //! exactly those arguments, and asserts the same failure reproduces.
+//! It also pins how `gwcheck` rejects a sweep spec the search cannot
+//! run: a usage error, never a panic.
 
 use std::process::Command;
 
@@ -28,13 +30,18 @@ fn replay_argv(described: &str) -> Vec<String> {
     words.collect()
 }
 
-fn run_gwcheck(argv: &[String]) -> (i32, String) {
+/// Runs `gwcheck` with `argv`: (exit code, stdout, stderr).
+fn run_gwcheck(argv: &[String]) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_gwcheck"))
         .args(argv)
         .output()
         .expect("gwcheck runs");
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    (out.status.code().expect("gwcheck exits"), stdout)
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    (
+        out.status.code().expect("gwcheck exits"),
+        text(&out.stdout),
+        text(&out.stderr),
+    )
 }
 
 #[test]
@@ -48,7 +55,7 @@ fn printed_replay_command_reproduces_the_failure() {
     let described = cex.describe(&spec);
     let argv = replay_argv(&described);
 
-    let (code, stdout) = run_gwcheck(&argv);
+    let (code, stdout, _) = run_gwcheck(&argv);
     assert_eq!(code, 1, "replay must reproduce the failure:\n{stdout}");
     assert!(stdout.contains("REPRODUCED"), "stdout: {stdout}");
     // The replayed failure is the same failure, verbatim.
@@ -71,7 +78,7 @@ fn raw_counterexample_replay_command_also_reproduces() {
     let raw = outcome.raw_counterexample.expect("mutation caught");
     assert!(raw.prefix_len > 0, "raw trace keeps its shard prefix");
     let argv = replay_argv(&raw.describe(&spec));
-    let (code, stdout) = run_gwcheck(&argv);
+    let (code, stdout, _) = run_gwcheck(&argv);
     assert_eq!(code, 1, "raw replay must reproduce:\n{stdout}");
     assert!(
         stdout.contains(&raw.failure.to_string()),
@@ -81,7 +88,7 @@ fn raw_counterexample_replay_command_also_reproduces() {
 
 #[test]
 fn clean_trace_replay_exits_zero() {
-    let (code, stdout) = run_gwcheck(&[
+    let (code, stdout, _) = run_gwcheck(&[
         "--protocol".into(),
         "mesi".into(),
         "--cores".into(),
@@ -99,11 +106,33 @@ fn clean_trace_replay_exits_zero() {
 
 #[test]
 fn malformed_trace_is_a_usage_error() {
-    let (code, _) = run_gwcheck(&[
+    let (code, _, _) = run_gwcheck(&[
         "--protocol".into(),
         "mesi".into(),
         "--replay".into(),
         "i0:0s,bogus".into(),
     ]);
     assert_eq!(code, 2);
+}
+
+#[test]
+fn out_of_range_specs_are_usage_errors() {
+    // Specs the search's state key cannot pack are rejected before any
+    // search starts, in sweep and replay mode alike.
+    for spec in [
+        "--cores 17 --ops 1",
+        "--ops 16",
+        "--cores 16 --fault-budget 1 --ops 1",
+    ] {
+        for replay in ["", " --protocol mesi --replay i0:0s"] {
+            let argv: Vec<String> = format!("{spec}{replay}")
+                .split_whitespace()
+                .map(str::to_string)
+                .collect();
+            let (code, stdout, stderr) = run_gwcheck(&argv);
+            assert_eq!(code, 2, "{argv:?}: stderr: {stderr}");
+            assert!(stderr.starts_with("gwcheck: "), "{argv:?}: {stderr}");
+            assert!(stdout.is_empty(), "{argv:?}: stdout: {stdout}");
+        }
+    }
 }

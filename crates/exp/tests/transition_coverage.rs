@@ -1,9 +1,10 @@
 //! Golden transition-coverage snapshot: which named rows of the shared
 //! transition table (`crates/core/src/proto.rs`) the two tier-1 drivers
 //! actually exercise. This is also the tier-1 clean-sweep gate: each
-//! sweep below must find no violation (the counterexample is rendered
-//! on failure) and must be exhaustive, so every cell is searched once
-//! per `cargo test` and yields both its verdict and its coverage.
+//! sweep below runs on `gwcheck`'s engine ([`run_sweep`]), must find no
+//! violation (the counterexample is rendered on failure) and must be
+//! exhaustive, so every cell is searched once per `cargo test` and
+//! yields both its verdict and its coverage.
 //!
 //! * **sweep** — the union of the tier-1 `gwcheck` sweeps
 //!   (MESI / MSI / Ghostwriter / GW-over-MOESI at 2 cores, 1 block,
@@ -26,13 +27,18 @@
 use std::fs;
 use std::path::PathBuf;
 
-use ghostwriter_check::{sweep, ProtocolKind};
+use ghostwriter_check::{run_sweep, ProtocolKind, ShardOptions, SweepSpec};
 use ghostwriter_core::{Coverage, DirRowId, L1RowId, Reach};
 use ghostwriter_exp::{all_experiments, Engine, Scale};
 
 fn tier1_sweep_coverage() -> Coverage {
+    let opts = ShardOptions {
+        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        use_cache: false,
+        ..Default::default()
+    };
     let mut cov = Coverage::default();
-    for (kind, blocks, gi) in [
+    for (kind, blocks, gi_timeouts) in [
         (ProtocolKind::Mesi, 1, false),
         (ProtocolKind::Msi, 1, false),
         (ProtocolKind::Ghostwriter, 1, false),
@@ -42,23 +48,25 @@ fn tier1_sweep_coverage() -> Coverage {
         (ProtocolKind::Mosi, 2, false),
         (ProtocolKind::Mesif, 2, false),
     ] {
-        let report = sweep(kind, 2, blocks, 2, gi, None);
-        if let Some((program, cex)) = &report.counterexample {
-            panic!(
-                "{kind:?} 2c/{blocks}b gi={gi} sweep found a violation\nprogram: {program:?}\n{}",
-                cex.render(2)
-            );
+        let spec = SweepSpec {
+            gi_timeouts,
+            ..SweepSpec::new(kind, 2, blocks, 2)
+        };
+        let label = spec.label();
+        let (outcome, _) = run_sweep(&spec, &opts);
+        if let Some(cex) = &outcome.counterexample {
+            panic!("{label} sweep found a violation\n{}", cex.describe(&spec));
         }
         assert!(
-            !report.truncated,
-            "{kind:?} 2c/{blocks}b gi={gi} sweep was truncated, not exhaustive"
+            !outcome.truncated,
+            "{label} sweep was truncated, not exhaustive"
         );
-        assert!(report.programs > 0 && report.states > report.programs);
+        assert!(outcome.shards > 0 && outcome.states > outcome.shards as u64);
         assert!(
-            !report.coverage.is_empty(),
-            "{kind:?} 2c/{blocks}b gi={gi} sweep recorded no transition coverage"
+            !outcome.coverage.is_empty(),
+            "{label} sweep recorded no transition coverage"
         );
-        cov.merge(&report.coverage);
+        cov.merge(&outcome.coverage);
     }
     cov
 }
